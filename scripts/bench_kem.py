@@ -1,48 +1,10 @@
 #!/usr/bin/env python3
-"""Wall-time benchmark of the three KEM phases plus a correctness sweep."""
+"""Wall-time benchmark of the three KEM phases plus a correctness sweep:
+`hqc128 bench` under another name, e.g. `python scripts/bench_kem.py --iters 100`."""
 
-import argparse
-import statistics
-import time
+import sys
 
-from hqc128 import kem
-from hqc128.params import hqc128
-from hqc128.sampling import DOMAIN_COINS, DOMAIN_KAT_CHAIN, Xof
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--iters", type=int, default=200)
-    args = parser.parse_args()
-    if args.iters <= 0:
-        parser.error("--iters must be positive")
-
-    p = hqc128()
-    chain = Xof(b"bench".ljust(p.seed_bytes, b"\x00"), DOMAIN_KAT_CHAIN)
-    samples = {"keygen": [], "encaps": [], "decaps": []}
-    failures = 0
-    for _ in range(args.iters):
-        seed = chain.squeeze(p.seed_bytes)
-        coins = Xof(seed, DOMAIN_COINS).squeeze(p.seed_bytes)
-        t0 = time.perf_counter()
-        pk, sk = kem.keygen(seed)
-        t1 = time.perf_counter()
-        ct, ss = kem.encaps(pk, coins)
-        t2 = time.perf_counter()
-        failures += kem.decaps(sk, ct) != ss
-        t3 = time.perf_counter()
-        samples["keygen"].append(t1 - t0)
-        samples["encaps"].append(t2 - t1)
-        samples["decaps"].append(t3 - t2)
-
-    print(f"{args.iters} iterations, {failures} shared-secret mismatches")
-    print(f"{'phase':<8}{'mean_ms':>10}{'median_ms':>12}{'min_ms':>10}")
-    for phase, vals in samples.items():
-        print(
-            f"{phase:<8}{statistics.fmean(vals)*1e3:>10.3f}"
-            f"{statistics.median(vals)*1e3:>12.3f}{min(vals)*1e3:>10.3f}"
-        )
-
+from hqc128 import cli
 
 if __name__ == "__main__":
-    main()
+    sys.exit(cli.main(["bench", *sys.argv[1:]]))

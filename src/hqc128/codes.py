@@ -329,10 +329,9 @@ def code_encode(m: bytes, p: ParamSet) -> DensePoly:
     blocks = np.broadcast_to(
         single[:, None, :], (p.n1, p.rm_multiplicity, 2)
     ).reshape(-1)
-    out = DensePoly(p.n)
-    out.words[:len(blocks)] = blocks
+    value = int.from_bytes(blocks.astype("<u8").tobytes(), "little")
     counters.add_bytes_copied(len(blocks) * 8)
-    return out
+    return DensePoly(p.n, value)
 
 
 def code_decode(noisy: DensePoly, p: ParamSet) -> bytes:
@@ -341,8 +340,8 @@ def code_decode(noisy: DensePoly, p: ParamSet) -> bytes:
     Bits at positions >= n1*n2 are ignored. Uncorrectable noise yields a
     wrong message silently.
     """
-    n_words = p.n1 * p.n2 // 64
-    raw = noisy.words[:n_words].astype("<u8").tobytes()
+    nbytes = p.n1 * p.n2 // 8
+    raw = (noisy.value & ((1 << 8 * nbytes) - 1)).to_bytes(nbytes, "little")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
     bits = bits.reshape(p.n1, p.rm_multiplicity, 128)
     soft = (p.rm_multiplicity - 2 * bits.sum(axis=1)).astype(np.int32)

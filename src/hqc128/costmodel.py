@@ -87,14 +87,17 @@ SW_TOTAL = {phase: sum(v.values()) for phase, v in SW_BASELINE.items()}
 DMA_SW_OPT_ROW = {"keygen": 3_587_000, "encaps": 7_044_000, "decaps": 10_851_000}
 
 # Per-unit software cycle weights used to attribute measured counters to
-# categories for reporting. Each is calibrated once against one anchor cell
-# of the published baseline using this artifact's own counter values:
+# categories for reporting. Each was calibrated once against one anchor cell
+# of the published baseline, divided by a counter value:
 #   per_permutation : Keygen SHAKE 1854k over 23 permutations
 #   per_ring_word_op: Keygen Arithmetic-in-R 1540k over 36,696 word ops
 #   per_byte_copied : Keygen Memory-Operation 2071k over 7,431 bytes
 #   per_sample_draw : Keygen Sampling 81k over 133 candidate draws
 #   per_gf_mul      : Encaps gf_mul 20k over 480 multiplications
 #   per_rm_block    : Decaps RM-Decode 1358k over 46 blocks
+# Three of those divisors are not what this code counts: the zero-seed keygen
+# profile gives 21 permutations, 7,233 bytes and 132 draws (the other three
+# match). The weights stay as calibrated until they are refitted in code.
 SW_UNIT_CYCLES = {
     "per_permutation": 80_600,
     "per_ring_word_op": 42,

@@ -5,7 +5,8 @@ KeyGen expands one seed into (seed_h, seed_sk); h is a uniform ring element,
 (e, r1, r2) from theta, sends u = r1 + h*r2 and v = mG + s*r2 + e.
 Decapsulation decrypts, re-derives theta' = G(m'), re-encrypts, and only
 releases K(m', c) when the recomputed (u', v', d') matches the received
-ciphertext; all three comparisons are timing-balanced and always execute.
+ciphertext; all three comparisons go through hmac.compare_digest and always
+execute.
 
 Wire formats (normative, byte-exact):
     pk = seed_h (40) || s (2209)                 -> 2249 bytes

@@ -1,74 +1,54 @@
-"""Arithmetic in R = F2[X]/(X^n - 1) on bit-packed 64-bit words.
+"""Arithmetic in R = F2[X]/(X^n - 1), one Python int per element.
 
-Bit i of a polynomial lives in bit (i mod 64) of word (i div 64); words are
-little-endian in the array, so byte serialization is a plain copy. The
-sparse*dense product walks the support of the sparse operand and, per
-coordinate c = 64q + r, XORs the dense operand shifted by r (with inter-word
-carry) into a double-length accumulator starting at word q, then folds the
-accumulator by X^n - 1. Word indices come from shift/mask only, never
-division, and every coordinate touches the same number of words.
+Bit i of the int is the coefficient of X^i, so byte serialization is a
+little-endian int.to_bytes. The sparse*dense product XORs the dense operand
+shifted left by each coordinate of the sparse support into a double-length
+accumulator, then folds the accumulator once by X^n - 1. A shift by c builds
+an int of n + c bits, so the time per coordinate grows with c (see the
+side-channel notes in the README).
+
+The counters keep the units of the packed 64-bit word layout that the cost
+model was calibrated on: ceil(n/64) words per ring element.
 """
 
 from __future__ import annotations
 
+import hmac
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import counters
-
-_U64 = np.uint64
 
 
 def _words_for(n: int) -> int:
     return (n + 63) >> 6
 
 
-def _last_word_mask(n: int) -> int:
-    return (1 << (n & 63)) - 1 if n & 63 else (1 << 64) - 1
-
-
 class DensePoly:
-    """Ring element as ceil(n/64) packed words, canonical (pad bits zero)."""
+    """Ring element as an int; canonical when no bit at or above n is set."""
 
-    __slots__ = ("n", "words")
+    __slots__ = ("n", "value")
 
-    def __init__(self, n: int, words: np.ndarray | None = None):
+    def __init__(self, n: int, value: int = 0):
         self.n = n
-        if words is None:
-            words = np.zeros(_words_for(n), dtype=_U64)
-        else:
-            if words.dtype != _U64 or len(words) != _words_for(n):
-                raise ValueError("words must be ceil(n/64) uint64 entries")
-        self.words = words
+        self.value = value
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DensePoly)
             and self.n == other.n
-            and bool(np.array_equal(self.words, other.words))
+            and self.value == other.value
         )
 
     __hash__ = None
 
     def is_canonical(self) -> bool:
-        return int(self.words[-1]) & ~_last_word_mask(self.n) == 0
-
-    def bit(self, i: int) -> int:
-        return int(self.words[i >> 6] >> _U64(i & 63)) & 1
-
-    def set_bit(self, i: int) -> None:
-        self.words[i >> 6] |= _U64(1 << (i & 63))
-
-    def flip_bit(self, i: int) -> None:
-        self.words[i >> 6] ^= _U64(1 << (i & 63))
+        return self.value >> self.n == 0
 
     def to_bytes(self) -> bytes:
         """ceil(n/8) bytes, bit i -> bit (i mod 8) of byte (i div 8)."""
         nbytes = (self.n + 7) >> 3
-        out = self.words.astype("<u8").tobytes()[:nbytes]
         counters.add_bytes_copied(nbytes)
-        return out
+        return self.value.to_bytes(nbytes, "little")
 
     @classmethod
     def from_bytes(cls, n: int, data: bytes) -> "DensePoly":
@@ -76,9 +56,7 @@ class DensePoly:
         nbytes = (n + 7) >> 3
         if len(data) != nbytes:
             raise ValueError(f"expected {nbytes} bytes, got {len(data)}")
-        padded = data + b"\x00" * (_words_for(n) * 8 - nbytes)
-        words = np.frombuffer(padded, dtype="<u8").astype(_U64)
-        poly = cls(n, words)
+        poly = cls(n, int.from_bytes(data, "little"))
         if not poly.is_canonical():
             raise ValueError("nonzero padding bits beyond degree n-1")
         counters.add_bytes_copied(nbytes)
@@ -106,96 +84,46 @@ class SparsePoly:
         return len(self.support)
 
 
-class ProductAccumulator:
-    """Pre-reduction product of degree < 2n; one scratch word of headroom
-    absorbs the top carry so coordinate processing stays uniform."""
-
-    __slots__ = ("n", "words")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.words = np.zeros(_words_for(2 * n) + 1, dtype=_U64)
-
-    def degree_bound_ok(self) -> bool:
-        """No bit at position >= 2n - 1."""
-        top = 2 * self.n - 1
-        q, r = top >> 6, top & 63
-        if int(self.words[q]) >> r:
-            return False
-        return not self.words[q + 1:].any()
-
-
 def dense_from_sparse(s: SparsePoly) -> DensePoly:
-    d = DensePoly(s.n)
+    value = 0
     for c in s.support:
-        d.set_bit(c)
-    counters.add_bytes_copied(len(d.words) * 8)
-    return d
+        value |= 1 << c
+    counters.add_bytes_copied(_words_for(s.n) * 8)
+    return DensePoly(s.n, value)
 
 
 def add(a: DensePoly, b: DensePoly) -> DensePoly:
-    """Word-wise XOR; characteristic 2, so this is also subtraction."""
+    """XOR; characteristic 2, so this is also subtraction."""
     if a.n != b.n:
         raise ValueError("ring degree mismatch")
-    return DensePoly(a.n, a.words ^ b.words)
+    return DensePoly(a.n, a.value ^ b.value)
 
 
 def mul_sparse_dense(s: SparsePoly, d: DensePoly) -> DensePoly:
     """(sum over c in support of X^c * d) mod (X^n - 1).
 
-    Per coordinate: split c = 64q + r, shift the dense words left by r with
-    carry into the next word, XOR into the accumulator at word offset q.
-    The r = 0 case goes through the same two shift steps so the work per
-    coordinate does not depend on the (secret) coordinate value.
+    The accumulator has degree < 2n - 1, so one fold of bits [n, 2n - 1)
+    onto [0, n - 1) reduces it (X^n = 1).
     """
     if s.n != d.n:
         raise ValueError("ring degree mismatch")
-    wn = len(d.words)
-    acc = ProductAccumulator(d.n)
-    aw = acc.words
-    dw = d.words
+    n = d.n
+    dv = d.value
+    acc = 0
     for c in s.support:
-        q = c >> 6
-        r = c & 63
-        lo = dw << _U64(r)
-        hi = (dw >> _U64(63 - r)) >> _U64(1)     # == dw >> (64 - r), r = 0 safe
-        aw[q:q + wn] ^= lo
-        aw[q + 1:q + wn + 1] ^= hi
-    counters.add_ring_word_ops(2 * (wn + 1) * s.weight)
-    return reduce(acc)
-
-
-def reduce(acc: ProductAccumulator) -> DensePoly:
-    """Fold bits [n, 2n-1) onto [0, n-1): X^n = 1."""
-    n = acc.n
-    wn = _words_for(n)
-    q, r = n >> 6, n & 63
-    hi = acc.words[q:q + wn + 1]
-    folded = (hi[:wn] >> _U64(r)) ^ ((hi[1:wn + 1] << _U64(63 - r)) << _U64(1))
-    res = acc.words[:wn] ^ folded
-    res[-1] &= _U64(_last_word_mask(n))
-    return DensePoly(n, res)
+        acc ^= dv << c
+    counters.add_ring_word_ops(2 * (_words_for(n) + 1) * s.weight)
+    return DensePoly(n, (acc & ((1 << n) - 1)) ^ (acc >> n))
 
 
 def weight(d: DensePoly) -> int:
     """Population count over all n bits."""
-    return int(np.bitwise_count(d.words).sum())
+    return d.value.bit_count()
 
 
 def ct_equal(a: bytes, b: bytes) -> bool:
-    """Timing-balanced equality: accumulate XOR over every 64-bit word."""
-    return _ct_equal_words(a, b)[0]
-
-
-def _ct_equal_words(a: bytes, b: bytes) -> tuple[bool, int]:
-    """ct_equal plus the number of words visited (for test instrumentation)."""
+    """Equality by hmac.compare_digest, which does not stop at the first
+    differing byte; operands must have the same length."""
     if len(a) != len(b):
         raise ValueError("length mismatch")
-    diff = 0
-    visits = 0
-    for off in range(0, len(a), 8):
-        wa = int.from_bytes(a[off:off + 8], "little")
-        wb = int.from_bytes(b[off:off + 8], "little")
-        diff |= wa ^ wb
-        visits += 1
-    return diff == 0, visits
+    return hmac.compare_digest(a, b)

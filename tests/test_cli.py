@@ -1,10 +1,17 @@
+import hashlib
 import subprocess
 import sys
 
 import pytest
 
+from hqc128 import cli
+
 SEED_A = "00" * 40
 SEED_B = "01" * 40
+
+# SHA3-256 of the file written by `hqc128 kat --count 10 --seed 00...00`.
+# Any change to keys, ciphertexts or shared secrets changes it.
+GOLDEN_KAT_SHA3_256 = "a20e7623824f55c6d1778b91ec69d58a02b25702a28024e43e87adadb15eaf28"
 
 
 def run_cli(*args, cwd=None):
@@ -132,6 +139,13 @@ def test_kat_generate_and_verify(tmp_path):
     assert res.stdout.count("PASS") == 5
 
 
+def test_kat_zero_seed_matches_golden_digest(tmp_path):
+    kat = tmp_path / "kat.txt"
+    res = run_cli("kat", "--count", "10", "--seed", SEED_A, "--out", str(kat))
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha3_256(kat.read_bytes()).hexdigest() == GOLDEN_KAT_SHA3_256
+
+
 def test_kat_hundred_records(tmp_path):
     kat = tmp_path / "kat100.txt"
     res = run_cli("kat", "--count", "100", "--seed", SEED_B, "--out", str(kat))
@@ -177,10 +191,27 @@ def test_kat_count_must_be_positive(tmp_path):
 def test_bench_runs_and_rejects_zero_iters(tmp_path):
     res = run_cli("bench", "--iters", "2")
     assert res.returncode == 0
+    assert "2 iterations, 0 shared-secret mismatches" in res.stdout
     for phase in ("keygen", "encaps", "decaps"):
         assert f"{phase}.mean_ms=" in res.stdout
         assert f"{phase}.median_ms=" in res.stdout
     assert run_cli("bench", "--iters", "0").returncode == 2
+
+
+def test_bench_counts_mismatches_and_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli.kem, "decaps", lambda sk, ct: bytes(64))
+    assert cli.main(["bench", "--iters", "2"]) == cli.EXIT_VERIFY_FAIL
+    out = capsys.readouterr().out
+    assert "2 iterations, 2 shared-secret mismatches" in out
+    assert "decaps.min_ms=" in out
+
+
+def test_package_runs_as_module():
+    res = subprocess.run(
+        [sys.executable, "-m", "hqc128", "costmodel"], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert "keygen.total=5609000" in res.stdout
 
 
 def test_profile_command(tmp_path):

@@ -51,6 +51,23 @@ def test_profile_ring_word_ops_match_multiplication_count(profiles):
     assert profiles["decaps"].ring_word_ops == (P.w + 2 * P.w_r) * words_per_coord
 
 
+# (keccak_permutations, gf_muls, ring_word_ops, bytes_copied, samples_drawn,
+# rm_blocks_decoded) at the zero seed, the default of `hqc128 profile`
+ZERO_SEED_COUNTS = {
+    "keygen": (21, 0, 36_696, 7_233, 132, 0),
+    "encaps": (70, 480, 83_400, 16_300, 225, 0),
+    "decaps": (69, 1_860, 120_096, 20_661, 225, 46),
+}
+
+
+def test_profile_counts_pinned_at_zero_seed():
+    for phase, expect in ZERO_SEED_COUNTS.items():
+        prof = cm.profile(phase, bytes(P.seed_bytes))
+        got = (prof.keccak_permutations, prof.gf_muls, prof.ring_word_ops,
+               prof.bytes_copied, prof.samples_drawn, prof.rm_blocks_decoded)
+        assert got == expect, phase
+
+
 def test_profile_rejects_unknown_phase():
     with pytest.raises(ValueError):
         cm.profile("sign", SEED)

@@ -4,7 +4,7 @@ import pytest
 
 from hqc128 import kem
 from hqc128.params import hqc128
-from hqc128.poly_ring import add, dense_from_sparse, mul_sparse_dense, weight
+from hqc128.poly_ring import DensePoly, add, dense_from_sparse, mul_sparse_dense, weight
 from hqc128.sampling import hash_k
 
 P = hqc128()
@@ -66,7 +66,6 @@ def test_pke_roundtrip():
 
 def test_pke_decrypt_noiseless_channel():
     from hqc128.codes import code_encode
-    from hqc128.poly_ring import DensePoly
 
     _, sk = make_keypair()
     m = RNG.randbytes(P.k)
@@ -144,7 +143,7 @@ def test_decaps_runs_all_three_comparisons(monkeypatch):
     # compared before the verdict
     pk, sk = make_keypair(bytes(40))
     ct, _ = kem.encaps(pk, bytes(range(40)))
-    ct.u.flip_bit(0)
+    ct.u = DensePoly(ct.u.n, ct.u.value ^ 1)
     calls = []
     real = kem.ct_equal
     monkeypatch.setattr(kem, "ct_equal", lambda a, b: calls.append(len(a)) or real(a, b))

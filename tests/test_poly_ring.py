@@ -1,37 +1,42 @@
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hqc128 import poly_ring
 from hqc128.poly_ring import (
     DensePoly,
-    ProductAccumulator,
     SparsePoly,
-    _ct_equal_words,
     add,
     ct_equal,
     dense_from_sparse,
     mul_sparse_dense,
-    reduce,
     weight,
 )
 
 
+def bit(d: DensePoly, i: int) -> int:
+    return (d.value >> i) & 1
+
+
 def rand_dense(n: int, rng: random.Random, density: float = 0.5) -> DensePoly:
-    d = DensePoly(n)
+    value = 0
     for i in range(n):
         if rng.random() < density:
-            d.set_bit(i)
-    return d
+            value |= 1 << i
+    return DensePoly(n, value)
 
 
 def rand_sparse(n: int, w: int, rng: random.Random) -> SparsePoly:
     return SparsePoly(n, tuple(sorted(rng.sample(range(n), w))))
 
 
-def poly_to_int(d: DensePoly) -> int:
-    return int.from_bytes(d.words.tobytes(), "little")
+def fold_per_bit(acc: int, n: int) -> int:
+    """Reduce a value of degree < 2n - 1 mod X^n - 1, one bit at a time."""
+    for i in range(2 * n - 2, n - 1, -1):
+        if (acc >> i) & 1:
+            acc ^= (1 << i) | (1 << (i - n))
+    return acc
 
 
 def schoolbook_mul(s: SparsePoly, d: DensePoly) -> int:
@@ -41,15 +46,12 @@ def schoolbook_mul(s: SparsePoly, d: DensePoly) -> int:
     a = 0
     for c in s.support:
         a |= 1 << c
-    b = poly_to_int(d)
+    b = d.value
     acc = 0
     for i in range(n):
         if (a >> i) & 1:
             acc ^= b << i
-    for i in range(2 * n - 2, n - 1, -1):
-        if (acc >> i) & 1:
-            acc ^= (1 << i) | (1 << (i - n))
-    return acc
+    return fold_per_bit(acc, n)
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +70,7 @@ def test_sparse_rejects_unsorted_support():
 def test_dense_from_sparse_empty_and_single():
     assert weight(dense_from_sparse(SparsePoly(97, ()))) == 0
     d = dense_from_sparse(SparsePoly(97, (0,)))
-    assert int(d.words[0]) == 1
-    assert not d.words[1:].any()
+    assert d.value == 1
 
 
 def test_dense_from_sparse_weight_oracle():
@@ -79,7 +80,7 @@ def test_dense_from_sparse_weight_oracle():
         s = rand_sparse(n, rng.randrange(0, min(20, n)), rng)
         d = dense_from_sparse(s)
         assert weight(d) == s.weight
-        assert sum(d.bit(i) for i in range(n)) == s.weight
+        assert sum(bit(d, i) for i in range(n)) == s.weight
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +109,7 @@ def test_add_rejects_degree_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# mul + reduce
+# mul, including the reduction mod X^n - 1
 
 
 def test_mul_by_x0_is_identity():
@@ -119,11 +120,9 @@ def test_mul_by_x0_is_identity():
 
 def test_mul_single_shift_with_wraparound():
     # n = 7: X * (1 + X^6) = X + X^7 = 1 + X
-    d = DensePoly(7)
-    d.set_bit(0)
-    d.set_bit(6)
+    d = DensePoly(7, 1 | 1 << 6)
     r = mul_sparse_dense(SparsePoly(7, (1,)), d)
-    assert [r.bit(i) for i in range(7)] == [1, 1, 0, 0, 0, 0, 0]
+    assert [bit(r, i) for i in range(7)] == [1, 1, 0, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("n,w", [(97, 10), (257, 15)])
@@ -134,7 +133,7 @@ def test_mul_matches_schoolbook_oracle(n, w):
         d = rand_dense(n, rng)
         got = mul_sparse_dense(s, d)
         assert got.is_canonical()
-        assert poly_to_int(got) == schoolbook_mul(s, d)
+        assert got.value == schoolbook_mul(s, d)
 
 
 def test_mul_matches_schoolbook_at_full_size():
@@ -142,7 +141,7 @@ def test_mul_matches_schoolbook_at_full_size():
     for _ in range(5):
         s = rand_sparse(17669, 75, rng)
         d = rand_dense(17669, rng)
-        assert poly_to_int(mul_sparse_dense(s, d)) == schoolbook_mul(s, d)
+        assert mul_sparse_dense(s, d).value == schoolbook_mul(s, d)
 
 
 def test_mul_is_xor_of_single_coordinate_products():
@@ -169,37 +168,34 @@ def test_mul_distributes_over_add():
 
 
 def test_reduce_xn_is_one():
+    # X * X^(n-1) = X^n, which reduces to 1
     n = 97
-    acc = ProductAccumulator(n)
-    acc.words[n >> 6] |= np.uint64(1 << (n & 63))
-    r = reduce(acc)
-    assert r.bit(0) == 1
+    r = mul_sparse_dense(SparsePoly(n, (1,)), DensePoly(n, 1 << (n - 1)))
+    assert bit(r, 0) == 1
     assert weight(r) == 1
 
 
 def test_reduce_low_bits_unchanged():
+    # a product with no bit at or above n is left as it is by the reduction
     rng = random.Random(17)
     n = 97
-    acc = ProductAccumulator(n)
-    low = rand_dense(n, rng)
-    acc.words[:len(low.words)] = low.words
-    assert reduce(acc) == low
+    for c in (0, 1, 30, 60):
+        low = DensePoly(n, rng.getrandbits(n - c))
+        got = mul_sparse_dense(SparsePoly(n, (c,)), low)
+        assert got == DensePoly(n, low.value << c)
 
 
 def test_reduce_matches_per_bit_oracle():
     rng = random.Random(18)
     n = 97
     for _ in range(1000):
-        value = rng.getrandbits(2 * n - 2)
-        acc = ProductAccumulator(n)
-        raw = value.to_bytes(len(acc.words) * 8, "little")
-        acc.words[:] = np.frombuffer(raw, dtype="<u8")
-        assert acc.degree_bound_ok()
-        expect = value
-        for i in range(2 * n - 2, n - 1, -1):
-            if (expect >> i) & 1:
-                expect ^= (1 << i) | (1 << (i - n))
-        assert poly_to_int(reduce(acc)) == expect
+        s = rand_sparse(n, rng.randrange(1, 20), rng)
+        d = DensePoly(n, rng.getrandbits(n))
+        unreduced = 0
+        for c in s.support:
+            unreduced ^= d.value << c
+        assert unreduced.bit_length() <= 2 * n - 1
+        assert mul_sparse_dense(s, d).value == fold_per_bit(unreduced, n)
 
 
 def test_accumulator_degree_bound_after_mul():
@@ -207,15 +203,10 @@ def test_accumulator_degree_bound_after_mul():
     for n in (97, 257, 17669):
         s = rand_sparse(n, 8, rng)
         d = rand_dense(n, rng)
-        wn = len(d.words)
-        acc = ProductAccumulator(n)
+        acc = 0
         for c in s.support:
-            q, r = c >> 6, c & 63
-            lo = d.words << np.uint64(r)
-            hi = (d.words >> np.uint64(63 - r)) >> np.uint64(1)
-            acc.words[q:q + wn] ^= lo
-            acc.words[q + 1:q + wn + 1] ^= hi
-            assert acc.degree_bound_ok()
+            acc ^= d.value << c
+            assert acc.bit_length() <= 2 * n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +221,7 @@ def test_weight_matches_bit_loop():
     rng = random.Random(20)
     for _ in range(1000):
         d = rand_dense(257, rng, density=rng.random())
-        assert weight(d) == sum(d.bit(i) for i in range(257))
+        assert weight(d) == sum(bit(d, i) for i in range(257))
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +284,18 @@ def test_ct_equal_exhaustive_flip_sweep():
         assert not ct_equal(a, bytes(flipped))
 
 
-def test_ct_equal_visits_every_word():
+def test_ct_equal_hands_full_inputs_to_compare_digest(monkeypatch):
+    seen = []
+    real = poly_ring.hmac.compare_digest
+    monkeypatch.setattr(poly_ring.hmac, "compare_digest",
+                        lambda a, b: seen.append((a, b)) or real(a, b))
     rng = random.Random(25)
     a = rng.randbytes(16)
-    flipped = bytes([a[0] ^ 1]) + a[1:]  # difference in word 0
-    equal, visits = _ct_equal_words(a, flipped)
-    assert not equal
-    assert visits == 2  # ceil(128 / 64)
-    _, visits = _ct_equal_words(b"x" * 2209, b"x" * 2209)
-    assert visits == (2209 + 7) // 8
+    flipped = bytes([a[0] ^ 1]) + a[1:]  # difference in the first byte
+    assert not ct_equal(a, flipped)
+    assert seen == [(a, flipped)]
+    assert ct_equal(b"x" * 2209, b"x" * 2209)
+    assert seen[1] == (b"x" * 2209, b"x" * 2209)
 
 
 def test_ct_equal_rejects_length_mismatch():
