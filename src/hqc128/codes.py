@@ -13,11 +13,16 @@ Conventions, fixed here and pinned by the exhaustive roundtrip tests:
   peak search inverts exactly this map.
 
 Decoding an RM block is maximum likelihood: fold the duplicated copies into
-per-position counts, Walsh-Hadamard transform, take the largest magnitude.
-The RS decoder is bounded-distance (syndromes, Berlekamp-Massey with masked
-updates, exhaustive root scan over all 255 nonzero field elements, Forney
-magnitudes); beyond delta symbol errors its output is unspecified and the
-KEM's re-encryption check is the failure detector.
+per-position counts, Walsh-Hadamard transform (one matrix product with the
+Sylvester +-1 matrix for all blocks), take the largest magnitude.
+
+The RS layer works on packed GF(2^8) vectors (below) and decodes on one
+fixed schedule whatever the received word: syndromes, the inversion-free
+reformulated Berlekamp-Massey (riBM) of Sarwate and Shanbhag for exactly
+2*delta iterations with mask-selected updates, then Chien search and Forney
+magnitudes at the k message positions only, with a branch-free mask that
+keeps the corrections at roots. Beyond delta symbol errors its output is
+unspecified and the KEM's re-encryption check is the failure detector.
 """
 
 from __future__ import annotations
@@ -25,84 +30,166 @@ from __future__ import annotations
 import numpy as np
 
 from . import counters
-from .gf256 import gf_inverse, gf_inverse_vec, gf_mul, gf_mul_vec, gf_pow_alpha
+# The traced benchmark (perfbench/spans.py) wraps gf_mul, gf_mul_vec and
+# gf_inverse where this module looks them up; the code layer itself no
+# longer calls them, so they are imported for that lookup only.
+from .gf256 import gf_inverse, gf_mul, gf_mul_vec, gf_pow_alpha  # noqa: F401
 from .params import ParamSet, hqc128
 from .poly_ring import DensePoly
 
 
 # ---------------------------------------------------------------------------
-# Precomputed public tables, one set per (n1, k, delta)
+# Packed GF(2^8) vectors
+#
+# A vector of field elements is one Python int: element l sits in 64-bit
+# lane l, with coefficient bit i at bit 4i. Multiplying a vector by a scalar
+# in the same form is one integer multiply: each 4-bit slot sums at most 8
+# products, so no carry leaves a slot, and bit 0 of slot i is the coefficient
+# of x^i of the carry-less product. XOR keeps those bits exact, so products
+# are XOR-accumulated unreduced and reduced mod 0x11D once.
+#
+# The decoder runs on secret data, so every operand has a data-independent
+# length: a scalar s multiplies as s + _NZ, never zero (CPython skips a
+# multiply by zero) and always 30 bits long; the extra term v << 29 adds 2 to
+# slots (bit 1, which no mask reads; a slot then holds at most 10). Each
+# vector carries a guard bit two lanes above its top lane, so zero lanes at
+# the top do not shorten it.
+
+_NZ = 1 << 29
+_SP = 0x11101   # x^4 + x^3 + x^2 + 1 (0x11D without x^8), spread
+
+
+def _fill(n: int, lane: int) -> int:
+    """The 64-bit pattern `lane` repeated in lanes 0..n-1."""
+    return int.from_bytes(lane.to_bytes(8, "little") * n, "little")
+
+
+class _Lanes:
+    """Masks and lane-wise operations for vectors of n lanes."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.guard = g = 1 << (64 * (n + 2))
+        self.low = _fill(n, 0x11111111)            # slots 0..7
+        self.one = _fill(n, 1)
+        self._spread = [_fill(n, m) | g for m in (0x000F000F, 0x03030303, 0x11111111)]
+        self._compact = [_fill(n, m) | g for m in (0x03030303, 0x000F000F, 0xFF)]
+        self._square = [_fill(n, m) | g for m in (0x0000111100001111,
+                                                   0x0011001100110011,
+                                                   0x0101010101010101)]
+
+    def pack(self, values: bytes) -> int:
+        """Byte ell into lane ell, then bit i of each byte to bit 4i."""
+        buf = bytearray(8 * self.n)
+        buf[::8] = values
+        x = int.from_bytes(buf, "little") | self.guard
+        for shift, mask in zip((12, 6, 3), self._spread):
+            x = (x | (x << shift)) & mask
+        return x
+
+    def unpack(self, x: int) -> bytes:
+        """Inverse of pack for a reduced vector."""
+        for shift, mask in zip((3, 6, 12), self._compact):
+            x = (x | (x >> shift)) & mask
+        return x.to_bytes(8 * (self.n + 3), "little")[:8 * self.n:8]
+
+    def scalars(self, x: int) -> list[int]:
+        """The lanes of a reduced vector as Python ints, still spread."""
+        raw = x.to_bytes(8 * (self.n + 3), "little")
+        return memoryview(raw).cast("Q")[:self.n].tolist()
+
+    def reduce(self, x: int) -> int:
+        """Slots 0..14 of each lane reduced mod 0x11D: two folds of slots
+        8..14 times x^8 = x^4 + x^3 + x^2 + 1. Guards and anything else above
+        the lanes are dropped and the guard is set."""
+        low, g = self.low, self.guard
+        x = (x & low) ^ (((x >> 32) & low) | g) * _SP
+        return ((x ^ (((x >> 32) & low) | g) * _SP) & low) | g
+
+    def square(self, a: int) -> int:
+        """Lane-wise a^2: squaring is linear, bit i moves to bit 2i."""
+        for shift, mask in zip((16, 8, 4), self._square):
+            a = (a | (a << shift)) & mask
+        return self.reduce(a)
+
+    def mul(self, a: int, b: int) -> int:
+        """Lane-wise a*b: a * x^t kept in the lanes where bit t of b is set."""
+        one, g = self.one, self.guard
+        acc = 0
+        for shift in range(0, 32, 4):           # 4t
+            keep = (((b >> shift) & one) | g) * 0x0FFFFFFFFFFFFFFF
+            acc ^= (a << shift) & keep
+        return self.reduce(acc)
+
+    def inverse(self, a: int) -> int:
+        """Lane-wise a^254 (0 maps to 0): 7 squarings and 4 products."""
+        x = self.mul(self.square(a), a)                              # a^3
+        x = self.mul(self.square(x), a)                              # a^7
+        x = self.mul(self.square(self.square(self.square(x))), x)   # a^63
+        x = self.mul(self.square(x), a)                              # a^127
+        return self.square(x)
+
+
+# ---------------------------------------------------------------------------
+# Precomputed public tables, one set per (n1, k, delta), built from the
+# powers of alpha
 
 
 class _RSTables:
     def __init__(self, n1: int, k: int, delta: int):
         t = 2 * delta
-        # g(X) = prod_{i=1..2 delta} (X - alpha^i), monic of degree 2 delta
-        g = [1]
-        for i in range(1, t + 1):
-            root = gf_pow_alpha(i)
-            nxt = [0] * (len(g) + 1)
-            for j, c in enumerate(g):
-                nxt[j] ^= gf_mul(c, root)   # c * root * X^j
-                nxt[j + 1] ^= c             # c * X^(j+1)
-            g = nxt
-        assert g[-1] == 1
-        self._g_low = g[:-1]                              # g_0 .. g_{t-1}
-        self.gen_low = np.array(self._g_low, dtype=np.uint8)
+        self.syn = _Lanes(t)
+        self.bm = _Lanes(3 * delta + 1)
+        self.chien = _Lanes(3 * k)
+        self.msg = _Lanes(k)
+        self.word = _Lanes(n1)
 
-        # X^-1 mod g = g0^-1 * (X^(t-1) + g_{t-1} X^(t-2) + ... + g_1)
-        g0_inv = gf_inverse(g[0])
-        xinv = [gf_mul(g0_inv, g[j + 1]) for j in range(t - 1)] + [g0_inv]
-        xkinv = [1] + [0] * (t - 1)
-        for _ in range(k):
-            xkinv = self._mul_mod_g(xkinv, xinv)
-        # parity_rows[m] = X^(m-k) mod g; parity(X) = sum_m msg[m] * rows[m]
+        # syndrome rows: lane i of row j is alpha^((i+1) j)
+        self.syn_rows = [
+            self.syn.pack(bytes(gf_pow_alpha((i + 1) * j) for i in range(t))) & self.syn.low
+            for j in range(n1)
+        ]
+
+        # g(X) = prod_{i=1..2 delta} (X - alpha^i), lane j = coefficient of X^j;
+        # syndrome row 1 holds the roots alpha^1 .. alpha^(2 delta)
+        gen = _Lanes(t + 1)
+        g = 1
+        for root in self.syn.scalars(self.syn_rows[1]):
+            g = gen.reduce((g << 64) ^ g * (root + _NZ)) & gen.low
+        g_low = g & self.syn.low                 # g_0 .. g_{t-1}, monic top dropped
+
+        # parity_rows[m] = X^(m-k) = X^(255-k+m) mod g; parity = sum msg_m rows_m
         rows = []
-        acc = xkinv
-        for _ in range(k):
-            rows.append(acc)
-            acc = self._mul_by_x_mod_g(acc)
-        self.parity_rows = np.array(rows, dtype=np.uint8)  # (k, 2 delta)
+        r = 1
+        for e in range(1, 255):
+            top = r >> (64 * (t - 1))
+            r = self.syn.reduce((r << 64) ^ g_low * (top + _NZ)) & self.syn.low
+            if e >= 255 - k:
+                rows.append(r)
+        self.parity_rows = rows
 
-        # syndrome powers alpha^((i+1) * j), i in [0, 2 delta), j in [0, n1)
-        self.synd_pow = np.array(
-            [[gf_pow_alpha((i + 1) * j) for j in range(n1)] for i in range(t)],
-            dtype=np.uint8,
-        )
-        # evaluation powers alpha^(i * u), i in [0, 2 delta), u in [0, 255);
-        # rows [0, delta] evaluate the locator, all rows evaluate omega
-        self.eval_pow = np.array(
-            [[gf_pow_alpha(i * u) for u in range(255)] for i in range(t)],
-            dtype=np.uint8,
-        )
-        # scatter indices for the product S(x) * sigma(x) truncated mod x^t
-        i_idx, j_idx = np.meshgrid(np.arange(t), np.arange(delta + 1), indexing="ij")
-        self.conv_idx = i_idx + j_idx
-        self.conv_mask = self.conv_idx < t
+        # Chien/Forney rows, one per riBM output lane i in [0, 2 delta]: lanes
+        # [0, k) evaluate the locator Lambda_(i-delta) at X_j^-1 = alpha^-j,
+        # lanes [k, 2k) its derivative (odd terms), lanes [2k, 3k) the
+        # modified evaluator Omega_i with the factor X_j^(-2 delta) folded in.
+        chien = []
+        for i in range(t + 1):
+            v = bytearray(3 * k)
+            for j in range(k):
+                e = i - delta
+                if e >= 0:
+                    v[j] = gf_pow_alpha(-j * e)
+                    if e % 2:
+                        v[k + j] = gf_pow_alpha(-j * (e - 1))
+                else:
+                    v[2 * k + j] = gf_pow_alpha(-j * (i + t))
+            chien.append(self.chien.pack(bytes(v)) & self.chien.low)
+        self.chien_rows = chien
 
-    def _mul_mod_g(self, a: list[int], b: list[int]) -> list[int]:
-        t = len(self._g_low)
-        conv = [0] * (2 * t - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                conv[i + j] ^= gf_mul(ai, bj)
-        for d in range(2 * t - 2, t - 1, -1):
-            c = conv[d]
-            if c:
-                conv[d] = 0
-                for j in range(t):
-                    conv[d - t + j] ^= gf_mul(c, self._g_low[j])
-        return conv[:t]
-
-    def _mul_by_x_mod_g(self, a: list[int]) -> list[int]:
-        t = len(a)
-        out = [0] + a[:-1]
-        top = a[-1]
-        for j in range(t):
-            out[j] ^= gf_mul(top, self._g_low[j])
-        return out
+        # gf_muls of one rs_decode call: syndromes, riBM, the three
+        # evaluations, then 11 products for each inverse and one for Y_j
+        self.decode_muls = (n1 * t + 2 * t * (3 * delta + 1)
+                            + k * ((delta + 1) + (delta + 1) // 2 + delta + 12))
 
 
 _RS_CACHE: dict[tuple[int, int, int], _RSTables] = {}
@@ -136,113 +223,108 @@ def _rm_rows() -> np.ndarray:
 _RM_ROWS = _rm_rows()
 
 
+def _sylvester() -> np.ndarray:
+    """128x128 float32 Walsh-Hadamard matrix: (-1)^popcount(u & j)."""
+    j = np.arange(128)
+    parity = j[:, None] & j[None, :]
+    for shift in (4, 2, 1):
+        parity ^= parity >> shift
+    return (1 - 2 * (parity & 1)).astype(np.float32)
+
+
+_SYLVESTER = _sylvester()
+
+
 # ---------------------------------------------------------------------------
 # Reed-Solomon layer
 
 
 def rs_encode(msg: bytes, p: ParamSet) -> bytes:
-    """Systematic codeword: message symbols, then 2*delta parity symbols."""
+    """Systematic codeword: message symbols, then 2*delta parity symbols
+    (k * 2 delta field products)."""
     if len(msg) != p.k:
         raise ValueError(f"message must be {p.k} bytes")
     tab = _rs_tables(p)
-    m = np.frombuffer(msg, dtype=np.uint8)
-    prods = gf_mul_vec(m[:, None], tab.parity_rows)
-    parity = np.bitwise_xor.reduce(prods, axis=0)
-    return msg + parity.tobytes()
+    acc = 0
+    for row, m in zip(tab.parity_rows, tab.msg.scalars(tab.msg.pack(msg))):
+        acc ^= row * (m + _NZ)
+    counters.add_gf_muls(p.k * 2 * p.delta)
+    return msg + tab.syn.unpack(tab.syn.reduce(acc))
+
+
+def _syndromes(received: bytes, tab: _RSTables) -> int:
+    """S_1 .. S_(2 delta) in lanes 0..2 delta - 1 of an riBM-sized vector."""
+    acc = 0
+    for row, c in zip(tab.syn_rows, tab.word.scalars(tab.word.pack(received))):
+        acc ^= row * (c + _NZ)
+    return tab.bm.reduce(acc)
 
 
 def rs_syndromes(cw: np.ndarray, p: ParamSet) -> np.ndarray:
-    """S_i = sum_j cw[j] alpha^((i+1) j) for i in [0, 2 delta)."""
+    """S_i = sum_j cw[j] alpha^((i+1) j) for i in [0, 2 delta), as uint8."""
     tab = _rs_tables(p)
-    prods = gf_mul_vec(cw[None, :], tab.synd_pow)
-    return np.bitwise_xor.reduce(prods, axis=1)
+    syn = _syndromes(cw.astype(np.uint8).tobytes(), tab) & tab.syn.low
+    counters.add_gf_muls(p.n1 * 2 * p.delta)
+    return np.frombuffer(tab.syn.unpack(syn | tab.syn.guard), dtype=np.uint8)
 
 
-def _select(mask: int, a, b):
-    """a if mask == -1 else b, for ints or equal-length int lists."""
-    if isinstance(a, list):
-        return [(x & mask) | (y & ~mask) for x, y in zip(a, b)]
-    return (a & mask) | (b & ~mask)
+def _ribm(syn: int, p: ParamSet, bm: _Lanes) -> int:
+    """Reformulated inversion-free Berlekamp-Massey, 2 delta iterations.
 
-
-def _berlekamp_massey(syn: list[int], delta: int) -> list[int]:
-    """Error-locator polynomial from 2*delta syndromes.
-
-    Fixed iteration count with masked updates: the control decisions are
-    folded into integer masks rather than branches on syndrome data.
+    delta_i starts as S_(i+1) for i < 2 delta with delta_(3 delta) = 1 and
+    theta = delta. Each iteration sets delta_i <- gamma * delta_(i+1) +
+    delta_0 * theta_i, and, when delta_0 != 0 and k >= 0, theta <- the
+    shifted delta, gamma <- delta_0 and k <- -k - 1 (else k <- k + 1), all
+    by masks. On return lanes delta..2 delta hold the locator Lambda and
+    lanes 0..delta-1 the modified evaluator Omega.
     """
-    sigma = [1] + [0] * (delta + 1)
-    x_sigma_prev = [0, 1] + [0] * delta
-    deg_sigma = 0
-    deg_sigma_prev = 0
-    last_update = -1
-    last_disc = 1
-    for mu in range(2 * delta):
-        d = syn[mu]
-        for i in range(min(mu, delta)):
-            d ^= gf_mul(sigma[i + 1], syn[mu - i - 1])
-        sigma_snapshot = list(sigma)
-        deg_snapshot = deg_sigma
-        dd = gf_mul(d, gf_inverse(last_disc))
-        for i in range(min(mu + 1, delta)):
-            sigma[i + 1] ^= gf_mul(dd, x_sigma_prev[i + 1])
-        candidate_deg = (mu - last_update) + deg_sigma_prev
-        swap = -int(d != 0 and candidate_deg > deg_sigma)
-        deg_sigma = _select(swap, candidate_deg, deg_sigma)
-        last_update = _select(swap, mu, last_update)
-        last_disc = _select(swap, d, last_disc)
-        x_sigma_prev = [0] + _select(swap, sigma_snapshot, x_sigma_prev)[:-1]
-        deg_sigma_prev = _select(swap, deg_snapshot, deg_sigma_prev)
-    return sigma[:delta + 1]
+    g = bm.guard
+    d = syn | (1 << (64 * 3 * p.delta))
+    theta = d
+    gamma = 1
+    k = 0
+    for _ in range(2 * p.delta):
+        d0 = d & 0xFFFFFFFF
+        shifted = (d >> 64) | g
+        d = bm.reduce(shifted * (gamma + _NZ) ^ theta * (d0 + _NZ))
+        swap = -((((d0 - 1) >> 63) + 1) & ((k >> 63) + 1))
+        theta = (shifted & swap) | (theta & ~swap)
+        gamma = (d0 & swap) | (gamma & ~swap)
+        k = (~k & swap) | ((k + 1) & ~swap)
+    return d
 
 
 def rs_decode(received: bytes, p: ParamSet) -> bytes:
-    """Correct up to delta symbol errors; more than delta is unspecified."""
+    """Correct up to delta symbol errors; more than delta is unspecified.
+
+    Every call runs the same schedule and counts the same field products:
+    n1 * 2 delta (syndromes) + 4 delta (3 delta + 1) (riBM) +
+    k * (2 delta + 13 + floor((delta + 1) / 2)) (Chien, Forney and the
+    lane-wise inverse), 4,956 for HQC-128.
+    """
     if len(received) != p.n1:
         raise ValueError(f"codeword must be {p.n1} bytes")
     tab = _rs_tables(p)
-    cw = np.frombuffer(received, dtype=np.uint8).copy()
-    syn = rs_syndromes(cw, p)
-    if not syn.any():
-        return cw[:p.k].tobytes()
-    syn_list = [int(s) for s in syn]
+    d = _ribm(_syndromes(received, tab), p, tab.bm)
 
-    locator = _berlekamp_massey(syn_list, p.delta)
-    loc_arr = np.array(locator, dtype=np.uint8)
-
-    # Exhaustive scan of all 255 nonzero points alpha^u; a root alpha^u
-    # means an error at coefficient (255 - u) mod 255.
-    values = np.bitwise_xor.reduce(
-        gf_mul_vec(loc_arr[:, None], tab.eval_pow[:p.delta + 1]), axis=0
-    )
-    root_exps = np.nonzero(values == 0)[0]
-    positions = (255 - root_exps) % 255
-    keep = positions < p.n1
-    root_exps = root_exps[keep]
-    positions = positions[keep]
-    if len(root_exps) == 0:
-        return cw[:p.k].tobytes()
-
-    # Forney: omega = S * sigma mod X^(2 delta); the magnitude at inverse
-    # root X^-1 = alpha^u is omega(alpha^u) / sigma'(alpha^u), with the
-    # derivative keeping only the odd locator coefficients.
-    t = 2 * p.delta
-    prods = gf_mul_vec(syn[:, None], loc_arr[None, :])
-    omega = np.zeros(t, dtype=np.uint8)
-    np.bitwise_xor.at(omega, tab.conv_idx[tab.conv_mask], prods[tab.conv_mask])
-
-    num = np.bitwise_xor.reduce(
-        gf_mul_vec(omega[:, None], tab.eval_pow[:, root_exps]), axis=0
-    )
-    odd = np.arange(1, p.delta + 1, 2)
-    den = np.bitwise_xor.reduce(
-        gf_mul_vec(loc_arr[odd, None], tab.eval_pow[odd - 1][:, root_exps]), axis=0
-    )
-    solvable = den != 0  # zero derivative only beyond the decoding radius
-    safe_den = np.where(solvable, den, 1).astype(np.uint8)
-    magnitudes = gf_mul_vec(num, gf_inverse_vec(safe_den))
-    cw[positions[solvable]] ^= magnitudes[solvable]
-    return cw[:p.k].tobytes()
+    # Y_j = X_j^(-2 delta) Omega(X_j^-1) / Lambda'(X_j^-1) wherever
+    # Lambda(X_j^-1) = 0, for the message positions j < k
+    msg = tab.msg
+    acc = 0
+    for row, s in zip(tab.chien_rows, tab.bm.scalars(d)):
+        acc ^= row * (s + _NZ)
+    acc = tab.chien.reduce(acc)
+    width = 64 * p.k
+    locator = (acc & msg.low) | msg.guard
+    slope = ((acc >> width) & msg.low) | msg.guard
+    value = msg.mul(((acc >> 2 * width) & msg.low) | msg.guard, msg.inverse(slope))
+    nonzero = locator | (locator >> 16)
+    nonzero |= nonzero >> 8
+    nonzero |= nonzero >> 4
+    roots = ((nonzero & msg.one) ^ msg.one) | msg.guard
+    errors = value & roots * 0x11111111
+    counters.add_gf_muls(tab.decode_muls)
+    return msg.unpack((msg.pack(received[:p.k]) ^ errors) | msg.guard)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +352,28 @@ def rm_encode(symbol: int, p: ParamSet) -> bytes:
     return single.astype("<u8").tobytes() * p.rm_multiplicity
 
 
+def _fold(bits: np.ndarray) -> np.ndarray:
+    """(..., multiplicity, 128) bits -> (..., 128) float32 soft values:
+    multiplicity - 2 * (set copies)."""
+    return bits.shape[-2] - 2 * bits.sum(axis=-2, dtype=np.float32)
+
+
+def _peaks(t: np.ndarray) -> np.ndarray:
+    """Largest-magnitude index along the last axis, ties to the lowest: the
+    index gives the seven coordinate coefficients, a negative peak sets the
+    constant bit."""
+    idx = np.argmax(np.abs(t), axis=-1)
+    negative = np.take_along_axis(t, idx[..., None], axis=-1)[..., 0] < 0
+    return (idx << 1) | negative
+
+
+def _decode_blocks(bits: np.ndarray) -> np.ndarray:
+    """(B, multiplicity, 128) bits -> (B,) ML-decoded symbols. The transform
+    is exact in float32: every entry is at most 128 * multiplicity."""
+    counters.add_rm_blocks(len(bits))
+    return _peaks(_fold(bits) @ _SYLVESTER)
+
+
 def _block_bits(block: bytes, p: ParamSet) -> np.ndarray:
     if len(block) * 8 != p.n2:
         raise ValueError(f"block must be {p.n2} bits")
@@ -279,25 +383,15 @@ def _block_bits(block: bytes, p: ParamSet) -> np.ndarray:
 
 def rm_fold(block: bytes, p: ParamSet) -> np.ndarray:
     """Per-position soft value: multiplicity - 2 * (set copies)."""
-    bits = _block_bits(block, p)
-    return (p.rm_multiplicity - 2 * bits.sum(axis=0)).astype(np.int32)
+    return _fold(_block_bits(block, p)).astype(np.int32)
 
 
 def hadamard(v: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform: 7 butterfly stages (a, b) -> (a+b, a-b)."""
+    """Walsh-Hadamard transform of the last axis, as int32; exact while
+    128 * max |v| < 2^24."""
     if v.shape[-1] != 128:
         raise ValueError("soft vectors have 128 entries")
-    x = v.astype(np.int32).reshape(-1, 128).copy()
-    h = 1
-    while h < 128:
-        x = x.reshape(-1, 128 // (2 * h), 2, h)
-        a = x[:, :, 0, :].copy()
-        b = x[:, :, 1, :]
-        x[:, :, 0, :] = a + b
-        x[:, :, 1, :] = a - b
-        x = x.reshape(-1, 128)
-        h *= 2
-    return x.reshape(v.shape)
+    return (v.astype(np.float32) @ _SYLVESTER).astype(np.int32)
 
 
 def peak_search(t: np.ndarray) -> int:
@@ -306,15 +400,12 @@ def peak_search(t: np.ndarray) -> int:
     The peak index gives the seven coordinate coefficients, a negative peak
     sets the constant bit.
     """
-    magnitudes = np.abs(t)
-    idx = int(np.argmax(magnitudes))
-    return (idx << 1) | int(t[idx] < 0)
+    return int(_peaks(t))
 
 
 def rm_decode(block: bytes, p: ParamSet) -> int:
     """ML decoding of one duplicated block."""
-    counters.add_rm_blocks(1)
-    return peak_search(hadamard(rm_fold(block, p)))
+    return int(_decode_blocks(_block_bits(block, p)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +434,5 @@ def code_decode(noisy: DensePoly, p: ParamSet) -> bytes:
     nbytes = p.n1 * p.n2 // 8
     raw = (noisy.value & ((1 << 8 * nbytes) - 1)).to_bytes(nbytes, "little")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    bits = bits.reshape(p.n1, p.rm_multiplicity, 128)
-    soft = (p.rm_multiplicity - 2 * bits.sum(axis=1)).astype(np.int32)
-    transformed = hadamard(soft)
-    idx = np.argmax(np.abs(transformed), axis=1)
-    peaks = transformed[np.arange(p.n1), idx]
-    symbols = ((idx.astype(np.uint8) << 1) | (peaks < 0)).astype(np.uint8)
-    counters.add_rm_blocks(p.n1)
-    return rs_decode(symbols.tobytes(), p)
+    symbols = _decode_blocks(bits.reshape(p.n1, p.rm_multiplicity, 128))
+    return rs_decode(symbols.astype(np.uint8).tobytes(), p)

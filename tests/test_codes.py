@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from hqc128 import counters
 from hqc128.codes import (
     code_decode,
     code_encode,
@@ -13,6 +14,7 @@ from hqc128.codes import (
     rm_fold,
     rs_decode,
     rs_encode,
+    rs_syndromes,
 )
 from hqc128.gf256 import gf_mul_table, gf_pow_alpha
 from hqc128.params import hqc128
@@ -30,6 +32,21 @@ def syndrome_oracle(cw: bytes) -> list[int]:
             acc ^= gf_mul_table(c, gf_pow_alpha(i * j))
         out.append(acc)
     return out
+
+
+def hadamard_butterfly(v: np.ndarray) -> np.ndarray:
+    """Oracle: 7 butterfly stages (a, b) -> (a+b, a-b) in int32."""
+    x = v.astype(np.int32).reshape(-1, 128).copy()
+    h = 1
+    while h < 128:
+        x = x.reshape(-1, 128 // (2 * h), 2, h)
+        a = x[:, :, 0, :].copy()
+        b = x[:, :, 1, :]
+        x[:, :, 0, :] = a + b
+        x[:, :, 1, :] = a - b
+        x = x.reshape(-1, 128)
+        h *= 2
+    return x.reshape(v.shape)
 
 
 def rm_encode_oracle(symbol: int, multiplicity: int) -> bytes:
@@ -81,6 +98,40 @@ def test_rs_codeword_syndromes_vanish():
     for _ in range(1000):
         cw = rs_encode(rng.randbytes(P.k), P)
         assert syndrome_oracle(cw) == [0] * (2 * P.delta)
+
+
+def test_rs_syndromes_match_oracle_on_non_codewords():
+    rng = random.Random(215)
+    for _ in range(200):
+        word = rng.randbytes(P.n1)
+        got = rs_syndromes(np.frombuffer(word, dtype=np.uint8), P)
+        assert got.dtype == np.uint8
+        assert list(got) == syndrome_oracle(word)
+
+
+def test_rs_decode_counts_the_same_products_for_any_error_count():
+    rng = random.Random(216)
+    msg = rng.randbytes(P.k)
+    counts = set()
+    for n_err in (0, 1, 5, 15, 16):
+        corrupted = bytearray(rs_encode(msg, P))
+        for pos in rng.sample(range(P.n1), n_err):
+            corrupted[pos] ^= rng.randrange(1, 256)
+        with counters.collecting(counters.Counters()) as counted:
+            rs_decode(bytes(corrupted), P)
+        counts.add(counted.gf_muls)
+    # n1 * 2 delta + 4 delta (3 delta + 1) + k (2 delta + 13 + (delta + 1) // 2)
+    assert counts == {4_956}
+
+
+def test_rs_corrects_errors_confined_to_parity():
+    rng = random.Random(217)
+    for _ in range(200):
+        msg = rng.randbytes(P.k)
+        corrupted = bytearray(rs_encode(msg, P))
+        for pos in rng.sample(range(P.k, P.n1), rng.randrange(1, P.delta + 1)):
+            corrupted[pos] ^= rng.randrange(1, 256)
+        assert rs_decode(bytes(corrupted), P) == msg
 
 
 def test_rs_linearity():
@@ -187,6 +238,17 @@ def test_hadamard_is_linear():
         v = rng.integers(-3, 4, size=128).astype(np.int32)
         w = rng.integers(-3, 4, size=128).astype(np.int32)
         assert np.array_equal(hadamard(v + w), hadamard(v) + hadamard(w))
+
+
+def test_hadamard_matches_butterfly_oracle():
+    rng = np.random.default_rng(218)
+    for _ in range(500):
+        v = rng.integers(-3, 4, size=128).astype(np.int32)
+        got = hadamard(v)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, hadamard_butterfly(v))
+    batch = rng.integers(-3, 4, size=(46, 128)).astype(np.int32)
+    assert np.array_equal(hadamard(batch), hadamard_butterfly(batch))
 
 
 def test_hadamard_rejects_wrong_length():
