@@ -1,10 +1,10 @@
 """Arithmetic in GF(2^8) = F2[x]/(x^8 + x^4 + x^3 + x^2 + 1).
 
-The default multiplication backend is a branch-free carry-less multiply with
-reduction folding, mirroring the fused multiply-add primitive of a
-combinational field unit. A log/antilog table backend exists as an
-independent oracle; because it indexes tables by its operands it is never
-used on secret data by the KEM path.
+Multiplication is the branch-free carry-less multiply-add `clmul_fma`, the
+fused primitive of a combinational field unit, followed by reduction
+folding. The antilog table gives the powers of alpha for building public
+tables. tests/gf_ref.py turns the log/antilog tables into a lookup multiply,
+the oracle that checks `gf_mul` on all 65,536 operand pairs.
 """
 
 from __future__ import annotations
@@ -39,14 +39,10 @@ _FOLD = tuple(FIELD_POLY << (i - 8) for i in range(8, 15))
 
 
 def gf_mul(a: int, b: int) -> int:
-    """Field product a*b mod 0x11D: the clmul_fma carry-less multiply (with a
-    zero addend), inlined, then reduction folding. Branch-free."""
+    """Field product a*b mod 0x11D: `clmul_fma` with a zero addend, then
+    reduction folding. Branch-free."""
     counters.add_gf_muls(1)
-    p = 0
-    x = a & 0xFF
-    for t in range(8):
-        p ^= x * ((b >> t) & 1)
-        x <<= 1
+    p = clmul_fma(a << 8, b)
     for i in range(14, 7, -1):
         p ^= ((p >> i) & 1) * _FOLD[i - 8]
     return p
@@ -82,14 +78,7 @@ def build_exp_log_tables() -> tuple[list[int], list[int]]:
     return exp, log
 
 
-_EXP, _LOG = build_exp_log_tables()
-
-
-def gf_mul_table(a: int, b: int) -> int:
-    """Oracle backend: product via log/antilog lookup. Test use only."""
-    if a == 0 or b == 0:
-        return 0
-    return _EXP[(_LOG[a] + _LOG[b]) % FIELD_ORDER]
+_EXP, _ = build_exp_log_tables()
 
 
 def gf_pow_alpha(e: int) -> int:
@@ -112,15 +101,3 @@ def gf_mul_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         p ^= ((p >> i) & 1) * (FIELD_POLY << (i - 8))
     counters.add_gf_muls(int(p.size))
     return p.astype(np.uint8)
-
-
-def gf_inverse_vec(a: np.ndarray) -> np.ndarray:
-    """Elementwise a^254; all entries must be nonzero."""
-    if np.any(a == 0):
-        raise ZeroDivisionError("0 has no inverse in GF(2^8)")
-    result = np.ones_like(a)
-    sq = a.copy()
-    for _ in range(7):
-        sq = gf_mul_vec(sq, sq)
-        result = gf_mul_vec(result, sq)
-    return result

@@ -30,8 +30,16 @@ class ParamSet:
     w_e: int                # Hamming weight of e
     seed_bytes: int
     ss_bytes: int           # shared-secret length in bytes
-    words_n: int            # ceil(n / 64)
-    words_2n: int           # ceil(2n / 64)
+
+    @property
+    def words_n(self) -> int:
+        """64-bit words of one ring element: ceil(n / 64)."""
+        return (self.n + 63) // 64
+
+    @property
+    def words_2n(self) -> int:
+        """64-bit words of an unreduced product: ceil(2n / 64)."""
+        return (2 * self.n + 63) // 64
 
     @property
     def n_bytes(self) -> int:
@@ -53,8 +61,6 @@ def hqc128() -> ParamSet:
         w_e=75,
         seed_bytes=40,
         ss_bytes=64,
-        words_n=277,
-        words_2n=553,
     )
 
 
@@ -75,10 +81,6 @@ def validate(p: ParamSet) -> list[str]:
         problems.append(f"w_r <= {MAX_SECRET_WEIGHT}")
     if p.w_e > MAX_SECRET_WEIGHT:
         problems.append(f"w_e <= {MAX_SECRET_WEIGHT}")
-    if p.words_n != (p.n + 63) // 64:
-        problems.append("words_n must equal ceil(n/64)")
-    if p.words_2n != (2 * p.n + 63) // 64:
-        problems.append("words_2n must equal ceil(2n/64)")
     if p.n2 != 128 * p.rm_multiplicity:
         problems.append("n2 must equal 128 * rm_multiplicity")
     if p.n1 - p.k != 2 * p.delta:

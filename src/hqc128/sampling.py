@@ -1,12 +1,11 @@
-"""Keccak-based randomness: permutation, incremental SHAKE256 XOF,
-rejection-based fixed-weight sampling, and the hash functions G, H, K.
+"""SHAKE256-based randomness: an incremental XOF, rejection-based
+fixed-weight sampling, and the hash functions G, H, K.
 
-Two interchangeable sponge backends exist. The "pure" backend is the
-self-contained Keccak-f[1600] implementation below, validated against the
-published permutation vectors; the "native" backend delegates the identical
-byte stream to hashlib's SHAKE256/SHA3 and is the default because it is two
-orders of magnitude faster. Tests assert stream-for-stream equality,
-including the reported permutation counts.
+The sponge is hashlib's SHAKE256 and SHA3-512 (FIPS 202). The Keccak-f[1600]
+permutations it runs are counted from the absorb and squeeze cursors, since
+the cost model charges one hardware permutation each. The pure-Python sponge
+in tests/keccak_ref.py checks this module: the published permutation
+vectors, the stream for any seed and domain, and the permutation counts.
 
 Every use-site of the XOF gets its own trailing domain byte, listed in the
 constants table below.
@@ -42,194 +41,29 @@ class SamplingError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Keccak-f[1600]
-
-_ROUND_CONSTANTS = [
-    0x0000000000000001, 0x0000000000008082, 0x800000000000808A,
-    0x8000000080008000, 0x000000000000808B, 0x0000000080000001,
-    0x8000000080008081, 0x8000000000008009, 0x000000000000008A,
-    0x0000000000000088, 0x0000000080008009, 0x000000008000000A,
-    0x000000008000808B, 0x800000000000008B, 0x8000000000008089,
-    0x8000000000008003, 0x8000000000008002, 0x8000000000000080,
-    0x000000000000800A, 0x800000008000000A, 0x8000000080008081,
-    0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
-]
-
-# Rotation offsets, lane index = 5*y + x.
-_ROTATIONS = [
-    0, 1, 62, 28, 27,
-    36, 44, 6, 55, 20,
-    3, 10, 43, 25, 39,
-    41, 45, 15, 21, 8,
-    18, 2, 61, 56, 14,
-]
-
-_MASK64 = (1 << 64) - 1
-
-
-class KeccakState:
-    """25 lanes of 64 bits (the 5x5 sponge state)."""
-
-    __slots__ = ("lanes",)
-
-    def __init__(self, lanes: list[int] | None = None):
-        if lanes is None:
-            lanes = [0] * 25
-        if len(lanes) != 25:
-            raise ValueError("Keccak state has exactly 25 lanes")
-        self.lanes = list(lanes)
-
-    def to_bytes(self) -> bytes:
-        return b"".join(lane.to_bytes(8, "little") for lane in self.lanes)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "KeccakState":
-        if len(data) != 200:
-            raise ValueError("Keccak state is 200 bytes")
-        return cls([int.from_bytes(data[8 * i:8 * i + 8], "little") for i in range(25)])
-
-
-def keccak_f1600(state: KeccakState) -> KeccakState:
-    """All 24 rounds of theta, rho, pi, chi, iota; returns a new state."""
-    a = list(state.lanes)
-    for rc in _ROUND_CONSTANTS:
-        # theta
-        c = [a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20] for x in range(5)]
-        for x in range(5):
-            cx = c[(x + 1) % 5]
-            d = c[(x - 1) % 5] ^ (((cx << 1) | (cx >> 63)) & _MASK64)
-            for y in range(0, 25, 5):
-                a[y + x] ^= d
-        # rho and pi
-        b = [0] * 25
-        for x in range(5):
-            for y in range(5):
-                v = a[5 * y + x]
-                r = _ROTATIONS[5 * y + x]
-                b[5 * ((2 * x + 3 * y) % 5) + y] = (
-                    ((v << r) | (v >> (64 - r))) & _MASK64 if r else v
-                )
-        # chi and iota
-        for y in range(0, 25, 5):
-            b0, b1, b2, b3, b4 = b[y:y + 5]
-            a[y] = b0 ^ (~b1 & b2) & _MASK64
-            a[y + 1] = b1 ^ (~b2 & b3) & _MASK64
-            a[y + 2] = b2 ^ (~b3 & b4) & _MASK64
-            a[y + 3] = b3 ^ (~b4 & b0) & _MASK64
-            a[y + 4] = b4 ^ (~b0 & b1) & _MASK64
-        a[0] ^= rc
-    counters.add_permutations(1)
-    return KeccakState(a)
-
-
-# ---------------------------------------------------------------------------
 # Incremental SHAKE256 XOF
 
 
-class _PureBackend:
-    """Sponge on the internal permutation; SHAKE suffix 0x1F."""
+class Xof:
+    """Incremental SHAKE256 stream over (seed || domain byte).
 
-    def __init__(self):
-        self.state = KeccakState()
-        self.buffer = bytearray()
-
-    def absorb_block(self, block: bytes) -> None:
-        lanes = self.state.lanes
-        for i in range(SHAKE256_RATE // 8):
-            lanes[i] ^= int.from_bytes(block[8 * i:8 * i + 8], "little")
-        self.state = keccak_f1600(self.state)
-
-    def absorb(self, data: bytes) -> None:
-        self.buffer += data
-        while len(self.buffer) >= SHAKE256_RATE:
-            self.absorb_block(bytes(self.buffer[:SHAKE256_RATE]))
-            del self.buffer[:SHAKE256_RATE]
-
-    def finalize(self) -> None:
-        pad = bytearray(SHAKE256_RATE - len(self.buffer))
-        pad[0] = 0x1F
-        block = bytearray(bytes(self.buffer) + bytes(pad))
-        block[-1] ^= 0x80
-        self.absorb_block(bytes(block))
-        self.buffer = bytearray()
-        self._out = self.state.to_bytes()[:SHAKE256_RATE]
-        self._pos = 0
-
-    def squeeze(self, n: int) -> bytes:
-        out = bytearray()
-        while len(out) < n:
-            if self._pos == SHAKE256_RATE:
-                self.state = keccak_f1600(self.state)
-                self._out = self.state.to_bytes()[:SHAKE256_RATE]
-                self._pos = 0
-            take = min(n - len(out), SHAKE256_RATE - self._pos)
-            out += self._out[self._pos:self._pos + take]
-            self._pos += take
-        return bytes(out)
-
-
-class _NativeBackend:
-    """hashlib.shake_256 producing the identical stream; permutation counts
-    are derived from cursor arithmetic so profiles match the pure backend.
+    Absorb, then squeeze; the first squeeze finalizes and further absorbing
+    raises. A sponge permutes once per full rate block absorbed and once per
+    rate block squeezed, begun blocks included (the first of these is the
+    finalizing permutation); the counts follow the two cursors.
 
     hashlib has no squeeze cursor, so every digest(n) recomputes the stream
     from byte 0; refilling an internal buffer in exponentially growing chunks
     keeps the total work linear in the stream length.
     """
 
-    def __init__(self):
+    def __init__(self, seed: bytes = b"", domain: int | None = None):
         self._h = hashlib.shake_256()
         self._absorbed = 0
         self._squeezed = 0
         self._tail = b""
         self._next_chunk = SHAKE256_RATE
-
-    def absorb(self, data: bytes) -> None:
-        before = self._absorbed // SHAKE256_RATE
-        self._absorbed += len(data)
-        self._h.update(data)
-        counters.add_permutations(self._absorbed // SHAKE256_RATE - before)
-
-    def finalize(self) -> None:
-        counters.add_permutations(1)
-
-    @staticmethod
-    def _extra_perms(total: int) -> int:
-        """Permutations beyond the finalize one after squeezing `total` bytes."""
-        return (total - 1) // SHAKE256_RATE if total else 0
-
-    def squeeze(self, n: int) -> bytes:
-        before = self._extra_perms(self._squeezed)
-        if len(self._tail) < n:
-            grow = max(n - len(self._tail), self._next_chunk)
-            self._next_chunk = min(2 * self._next_chunk, 1 << 22)
-            stream = self._h.digest(self._squeezed + len(self._tail) + grow)
-            self._tail = stream[self._squeezed:]
-        out = self._tail[:n]
-        self._tail = self._tail[n:]
-        self._squeezed += n
-        counters.add_permutations(self._extra_perms(self._squeezed) - before)
-        return out
-
-
-class Xof:
-    """Incremental SHAKE256 stream over (data || domain byte).
-
-    Absorb, then squeeze; the first squeeze finalizes and further absorbing
-    raises. Both backends produce the byte stream SHAKE256(seed || domain).
-    """
-
-    def __init__(self, seed: bytes = b"", domain: int | None = None,
-                 backend: str = "native"):
-        if backend == "native":
-            self._impl = _NativeBackend()
-        elif backend == "pure":
-            self._impl = _PureBackend()
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
         self.finalized = False
-        self.absorbed = 0
-        self.squeezed = 0
         if seed:
             self.absorb(seed)
         if domain is not None:
@@ -238,21 +72,30 @@ class Xof:
     def absorb(self, data: bytes) -> None:
         if self.finalized:
             raise RuntimeError("absorb after squeezing started")
-        self.absorbed += len(data)
         counters.add_bytes_copied(len(data))
-        self._impl.absorb(data)
+        before = self._absorbed // SHAKE256_RATE
+        self._absorbed += len(data)
+        self._h.update(data)
+        counters.add_permutations(self._absorbed // SHAKE256_RATE - before)
 
     def squeeze(self, n: int) -> bytes:
         if n < 0:
             raise ValueError("negative squeeze length")
         if n == 0:
             return b""
-        if not self.finalized:
-            self._impl.finalize()
-            self.finalized = True
-        self.squeezed += n
+        self.finalized = True
         counters.add_bytes_copied(n)
-        return self._impl.squeeze(n)
+        before = -(-self._squeezed // SHAKE256_RATE)
+        if len(self._tail) < n:
+            grow = max(n - len(self._tail), self._next_chunk)
+            self._next_chunk = min(2 * self._next_chunk, 1 << 22)
+            stream = self._h.digest(self._squeezed + len(self._tail) + grow)
+            self._tail = stream[self._squeezed:]
+        out = self._tail[:n]
+        self._tail = self._tail[n:]
+        self._squeezed += n
+        counters.add_permutations(-(-self._squeezed // SHAKE256_RATE) - before)
+        return out
 
 
 # ---------------------------------------------------------------------------

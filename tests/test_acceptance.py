@@ -15,16 +15,12 @@ import pytest
 from hqc128 import costmodel as cm
 from hqc128 import kem
 from hqc128.codes import rm_decode, rm_encode, rs_decode, rs_encode
-from hqc128.gf256 import clmul_fma, gf_mul, gf_mul_table
+from hqc128.gf256 import clmul_fma, gf_mul
 from hqc128.params import hqc128
 from hqc128.poly_ring import DensePoly, SparsePoly, mul_sparse_dense
-from hqc128.sampling import (
-    DOMAIN_KAT_CHAIN,
-    KeccakState,
-    Xof,
-    keccak_f1600,
-    sample_fixed_weight,
-)
+from hqc128.sampling import DOMAIN_KAT_CHAIN, Xof, sample_fixed_weight
+from tests.gf_ref import gf_mul_table
+from tests.keccak_ref import KeccakState, keccak_f1600
 from tests.test_poly_ring import schoolbook_mul
 from tests.test_sampling import ZERO_STATE_PERMUTED_ONCE, ZERO_STATE_PERMUTED_TWICE
 

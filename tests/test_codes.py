@@ -16,9 +16,10 @@ from hqc128.codes import (
     rs_encode,
     rs_syndromes,
 )
-from hqc128.gf256 import gf_mul_table, gf_pow_alpha
+from hqc128.gf256 import gf_pow_alpha
 from hqc128.params import hqc128
 from hqc128.poly_ring import weight
+from tests.gf_ref import gf_mul_table
 
 P = hqc128()
 

@@ -47,9 +47,10 @@ def test_overweight_is_flagged():
     assert validate(replace(hqc128(), w_e=76))
 
 
-def test_word_count_mismatch_is_flagged():
-    assert any("words_n" in v for v in validate(replace(hqc128(), words_n=276)))
-    assert any("words_2n" in v for v in validate(replace(hqc128(), words_2n=600)))
+def test_word_counts_follow_n():
+    p = replace(hqc128(), n=17729)
+    assert p.words_n == 278
+    assert p.words_2n == 555
 
 
 def test_rs_redundancy_consistency():

@@ -4,20 +4,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hqc128 import sampling
 from hqc128.params import hqc128
 from hqc128.sampling import (
     DOMAIN_ENCRYPT_NOISE,
     DOMAIN_SECRET_SAMPLING,
-    KeccakState,
+    SamplingError,
     Xof,
     hash_g,
     hash_h,
     hash_k,
-    keccak_f1600,
     sample_fixed_weight,
     sample_message,
     sample_uniform_dense,
 )
+from tests.keccak_ref import KeccakState, PureXof, keccak_f1600
 
 # Keccak team known-answer vectors: the f[1600] permutation applied to the
 # all-zero state, once and twice (little-endian lane serialization).
@@ -67,27 +68,30 @@ def test_keccak_injectivity_spot_check():
 
 
 def test_pure_sponge_matches_hashlib():
-    # the pure backend squeezed across many block boundaries pins the whole
+    # the pure sponge squeezed across many block boundaries pins the whole
     # permutation against the standard
     for seed_len in (0, 1, 40, 135, 136, 137, 300):
         seed = bytes(range(256))[:seed_len] * 1
-        ours = Xof(seed, 0x2A, backend="pure").squeeze(500)
+        ours = PureXof(seed, 0x2A).squeeze(500)
         ref = hashlib.shake_256(seed + b"\x2a").digest(500)
         assert ours == ref
 
 
 def test_backends_agree():
+    # Xof (hashlib) against the pure sponge, stream for stream
     rng = random.Random(101)
     for _ in range(20):
         seed = rng.randbytes(40)
         dom = rng.randrange(256)
-        a = Xof(seed, dom, backend="native")
-        b = Xof(seed, dom, backend="pure")
+        a = Xof(seed, dom)
+        b = PureXof(seed, dom)
         for chunk in (1, 7, 136, 200):
             assert a.squeeze(chunk) == b.squeeze(chunk)
 
 
 def test_backend_permutation_counts_agree():
+    # the counts Xof derives from its cursors against the permutations the
+    # pure sponge runs
     from hqc128.counters import Counters, collecting
 
     rng = random.Random(102)
@@ -95,10 +99,10 @@ def test_backend_permutation_counts_agree():
         absorb_sizes = [rng.randrange(0, 300) for _ in range(rng.randrange(1, 4))]
         squeeze_sizes = [rng.randrange(1, 400) for _ in range(rng.randrange(1, 5))]
         counts = []
-        for backend in ("native", "pure"):
+        for sponge in (Xof, PureXof):
             c = Counters()
             with collecting(c):
-                x = Xof(backend=backend)
+                x = sponge()
                 for size in absorb_sizes:
                     x.absorb(bytes(size))
                 for size in squeeze_sizes:
@@ -236,6 +240,13 @@ def test_fixed_weight_draw_discipline_against_stream_oracle():
 def test_fixed_weight_weight_cap():
     with pytest.raises(ValueError):
         sample_fixed_weight(Xof(b"x" * 40, 1), 10, 5)
+
+
+def test_fixed_weight_draw_cap(monkeypatch):
+    # 10 distinct coordinates below 10 need at least 10 draws
+    monkeypatch.setattr(sampling, "MAX_SAMPLE_DRAWS", 5)
+    with pytest.raises(SamplingError):
+        sample_fixed_weight(Xof(b"x" * 40, 3), 10, 10)
 
 
 def test_sample_uniform_dense_is_canonical():
