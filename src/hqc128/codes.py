@@ -248,7 +248,7 @@ def rs_encode(msg: bytes, p: ParamSet) -> bytes:
     acc = 0
     for row, m in zip(tab.parity_rows, tab.msg.scalars(tab.msg.pack(msg))):
         acc ^= row * (m + _NZ)
-    counters.add_gf_muls(p.k * 2 * p.delta)
+    counters.add("gf_muls", p.k * 2 * p.delta)
     return msg + tab.syn.unpack(tab.syn.reduce(acc))
 
 
@@ -264,7 +264,7 @@ def rs_syndromes(cw: np.ndarray, p: ParamSet) -> np.ndarray:
     """S_i = sum_j cw[j] alpha^((i+1) j) for i in [0, 2 delta), as uint8."""
     tab = _rs_tables(p)
     syn = _syndromes(cw.astype(np.uint8).tobytes(), tab) & tab.syn.low
-    counters.add_gf_muls(p.n1 * 2 * p.delta)
+    counters.add("gf_muls", p.n1 * 2 * p.delta)
     return np.frombuffer(tab.syn.unpack(syn | tab.syn.guard), dtype=np.uint8)
 
 
@@ -323,7 +323,7 @@ def rs_decode(received: bytes, p: ParamSet) -> bytes:
     nonzero |= nonzero >> 4
     roots = ((nonzero & msg.one) ^ msg.one) | msg.guard
     errors = value & roots * 0x11111111
-    counters.add_gf_muls(tab.decode_muls)
+    counters.add("gf_muls", tab.decode_muls)
     return msg.unpack((msg.pack(received[:p.k]) ^ errors) | msg.guard)
 
 
@@ -370,7 +370,7 @@ def _peaks(t: np.ndarray) -> np.ndarray:
 def _decode_blocks(bits: np.ndarray) -> np.ndarray:
     """(B, multiplicity, 128) bits -> (B,) ML-decoded symbols. The transform
     is exact in float32: every entry is at most 128 * multiplicity."""
-    counters.add_rm_blocks(len(bits))
+    counters.add("rm_blocks_decoded", len(bits))
     return _peaks(_fold(bits) @ _SYLVESTER)
 
 
@@ -421,7 +421,7 @@ def code_encode(m: bytes, p: ParamSet) -> DensePoly:
         single[:, None, :], (p.n1, p.rm_multiplicity, 2)
     ).reshape(-1)
     value = int.from_bytes(blocks.astype("<u8").tobytes(), "little")
-    counters.add_bytes_copied(len(blocks) * 8)
+    counters.add("bytes_copied", len(blocks) * 8)
     return DensePoly(p.n, value)
 
 

@@ -29,14 +29,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 
-from . import counters as _counters
 from . import kem
+from .counters import Counters, collecting
 from .params import ParamSet, hqc128
 from .sampling import DOMAIN_COINS, Xof
 
 PHASES = ("keygen", "encaps", "decaps")
-
-CATEGORIES = ("arithmetic_r", "shake", "rs_rm", "sampling", "memory", "rest")
 
 # Software baseline cycles of the reference implementation on the RISC-V
 # core, split by profiling category (sub-lines kept where an accelerator
@@ -166,18 +164,12 @@ class CycleConstants:
     dma_factor: float = DMA_FACTOR_DEFAULT
 
 
-@dataclass
-class CostProfile:
+@dataclass(slots=True, kw_only=True)
+class CostProfile(Counters):
     """Primitive-invocation counters and wall time for one executed phase."""
 
     phase: str
-    keccak_permutations: int
-    gf_muls: int
-    ring_word_ops: int
-    bytes_copied: int
-    samples_drawn: int
-    rm_blocks_decoded: int
-    wall_time: float
+    wall_time: float = 0.0
 
     def attributed_cycles(self) -> dict[str, float]:
         """Software-equivalent cycles per category (counts x unit weights)."""
@@ -207,35 +199,19 @@ def profile(phase: str, seed: bytes, p: ParamSet | None = None) -> CostProfile:
     if phase not in PHASES:
         raise ValueError(f"phase must be one of {PHASES}")
     coins = Xof(seed, DOMAIN_COINS).squeeze(p.seed_bytes)
-    counted = _counters.Counters()
-    if phase == "keygen":
-        with _counters.collecting(counted):
-            start = time.perf_counter()
-            kem.keygen(seed, p)
-            elapsed = time.perf_counter() - start
-    elif phase == "encaps":
-        pk, _ = kem.keygen(seed, p)
-        with _counters.collecting(counted):
-            start = time.perf_counter()
-            kem.encaps(pk, coins, p)
-            elapsed = time.perf_counter() - start
-    else:
-        pk, sk = kem.keygen(seed, p)
-        ct, _ = kem.encaps(pk, coins, p)
-        with _counters.collecting(counted):
-            start = time.perf_counter()
-            kem.decaps(sk, ct, p)
-            elapsed = time.perf_counter() - start
-    return CostProfile(
-        phase=phase,
-        keccak_permutations=counted.keccak_permutations,
-        gf_muls=counted.gf_muls,
-        ring_word_ops=counted.ring_word_ops,
-        bytes_copied=counted.bytes_copied,
-        samples_drawn=counted.samples_drawn,
-        rm_blocks_decoded=counted.rm_blocks_decoded,
-        wall_time=elapsed,
-    )
+    pk, sk = kem.keygen(seed, p)
+    ct, _ = kem.encaps(pk, coins, p)
+    run = {
+        "keygen": lambda: kem.keygen(seed, p),
+        "encaps": lambda: kem.encaps(pk, coins, p),
+        "decaps": lambda: kem.decaps(sk, ct, p),
+    }[phase]
+    prof = CostProfile(phase=phase)
+    with collecting(prof):
+        start = time.perf_counter()
+        run()
+        prof.wall_time = time.perf_counter() - start
+    return prof
 
 
 @dataclass
@@ -360,14 +336,10 @@ def render_profile_report(profiles: list[CostProfile]) -> str:
     """Counter table, attributed category shares, and machine-readable
     category=cycles lines."""
     lines = []
-    counter_names = (
-        "keccak_permutations", "gf_muls", "ring_word_ops",
-        "bytes_copied", "samples_drawn", "rm_blocks_decoded",
-    )
     header = f"{'counter':<22}" + "".join(f"{p.phase:>14}" for p in profiles)
     lines.append(header)
     lines.append("-" * len(header))
-    for name in counter_names:
+    for name in (f.name for f in fields(Counters)):
         lines.append(
             f"{name:<22}" + "".join(f"{getattr(p, name):>14}" for p in profiles)
         )

@@ -1,8 +1,8 @@
 """Primitive-invocation counters.
 
-A counter context is activated per run (see :mod:`hqc128.costmodel`); when no
-context is active every hook is a cheap no-op, and instrumentation never
-changes any computed value.
+`Counters` is the one list of the six counters. A counter context is activated
+per run (see :mod:`hqc128.costmodel`); when no context is active the hook
+`add` is a cheap no-op, and instrumentation never changes any computed value.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(slots=True)
 class Counters:
     keccak_permutations: int = 0
     gf_muls: int = 0
@@ -35,37 +35,8 @@ def collecting(counters: Counters):
         _active.reset(token)
 
 
-def add_permutations(n: int) -> None:
+def add(name: str, n: int) -> None:
+    """Add `n` to the counter field `name` of the active record, if any."""
     c = _active.get()
     if c is not None:
-        c.keccak_permutations += n
-
-
-def add_gf_muls(n: int) -> None:
-    c = _active.get()
-    if c is not None:
-        c.gf_muls += n
-
-
-def add_ring_word_ops(n: int) -> None:
-    c = _active.get()
-    if c is not None:
-        c.ring_word_ops += n
-
-
-def add_bytes_copied(n: int) -> None:
-    c = _active.get()
-    if c is not None:
-        c.bytes_copied += n
-
-
-def add_samples_drawn(n: int) -> None:
-    c = _active.get()
-    if c is not None:
-        c.samples_drawn += n
-
-
-def add_rm_blocks(n: int) -> None:
-    c = _active.get()
-    if c is not None:
-        c.rm_blocks_decoded += n
+        setattr(c, name, getattr(c, name) + n)

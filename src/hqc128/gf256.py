@@ -41,7 +41,7 @@ _FOLD = tuple(FIELD_POLY << (i - 8) for i in range(8, 15))
 def gf_mul(a: int, b: int) -> int:
     """Field product a*b mod 0x11D: `clmul_fma` with a zero addend, then
     reduction folding. Branch-free."""
-    counters.add_gf_muls(1)
+    counters.add("gf_muls", 1)
     p = clmul_fma(a << 8, b)
     for i in range(14, 7, -1):
         p ^= ((p >> i) & 1) * _FOLD[i - 8]
@@ -99,5 +99,5 @@ def gf_mul_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         p ^= (a16 << t) * ((bits >> t) & 1)
     for i in range(14, 7, -1):
         p ^= ((p >> i) & 1) * (FIELD_POLY << (i - 8))
-    counters.add_gf_muls(int(p.size))
+    counters.add("gf_muls", int(p.size))
     return p.astype(np.uint8)

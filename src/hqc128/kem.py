@@ -175,7 +175,7 @@ def ct_size(p: ParamSet) -> int:
 def serialize_pk(pk: PublicKey, p: ParamSet | None = None) -> bytes:
     p = p or hqc128()
     out = pk.seed_h + pk.s.to_bytes()
-    counters.add_bytes_copied(len(out))
+    counters.add("bytes_copied", len(out))
     return out
 
 
@@ -194,7 +194,7 @@ def deserialize_pk(data: bytes, p: ParamSet | None = None) -> PublicKey:
 def serialize_sk(sk: SecretKey, p: ParamSet | None = None) -> bytes:
     p = p or hqc128()
     out = sk.seed_sk + serialize_pk(sk.pk, p)
-    counters.add_bytes_copied(len(out))
+    counters.add("bytes_copied", len(out))
     return out
 
 
@@ -211,7 +211,7 @@ def deserialize_sk(data: bytes, p: ParamSet | None = None) -> SecretKey:
 def serialize_ct(ct: Ciphertext, p: ParamSet | None = None) -> bytes:
     p = p or hqc128()
     out = ct.u.to_bytes() + ct.v.to_bytes() + ct.d
-    counters.add_bytes_copied(len(out))
+    counters.add("bytes_copied", len(out))
     return out
 
 

@@ -37,11 +37,6 @@ class ParamSet:
         return (self.n + 63) // 64
 
     @property
-    def words_2n(self) -> int:
-        """64-bit words of an unreduced product: ceil(2n / 64)."""
-        return (2 * self.n + 63) // 64
-
-    @property
     def n_bytes(self) -> int:
         """Serialized size of one ring element."""
         return (self.n + 7) // 8

@@ -47,7 +47,7 @@ class DensePoly:
     def to_bytes(self) -> bytes:
         """ceil(n/8) bytes, bit i -> bit (i mod 8) of byte (i div 8)."""
         nbytes = (self.n + 7) >> 3
-        counters.add_bytes_copied(nbytes)
+        counters.add("bytes_copied", nbytes)
         return self.value.to_bytes(nbytes, "little")
 
     @classmethod
@@ -59,7 +59,7 @@ class DensePoly:
         poly = cls(n, int.from_bytes(data, "little"))
         if not poly.is_canonical():
             raise ValueError("nonzero padding bits beyond degree n-1")
-        counters.add_bytes_copied(nbytes)
+        counters.add("bytes_copied", nbytes)
         return poly
 
 
@@ -88,7 +88,7 @@ def dense_from_sparse(s: SparsePoly) -> DensePoly:
     value = 0
     for c in s.support:
         value |= 1 << c
-    counters.add_bytes_copied(_words_for(s.n) * 8)
+    counters.add("bytes_copied", _words_for(s.n) * 8)
     return DensePoly(s.n, value)
 
 
@@ -112,7 +112,7 @@ def mul_sparse_dense(s: SparsePoly, d: DensePoly) -> DensePoly:
     acc = 0
     for c in s.support:
         acc ^= dv << c
-    counters.add_ring_word_ops(2 * (_words_for(n) + 1) * s.weight)
+    counters.add("ring_word_ops", 2 * (_words_for(n) + 1) * s.weight)
     return DensePoly(n, (acc & ((1 << n) - 1)) ^ (acc >> n))
 
 

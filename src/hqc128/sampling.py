@@ -72,11 +72,11 @@ class Xof:
     def absorb(self, data: bytes) -> None:
         if self.finalized:
             raise RuntimeError("absorb after squeezing started")
-        counters.add_bytes_copied(len(data))
+        counters.add("bytes_copied", len(data))
         before = self._absorbed // SHAKE256_RATE
         self._absorbed += len(data)
         self._h.update(data)
-        counters.add_permutations(self._absorbed // SHAKE256_RATE - before)
+        counters.add("keccak_permutations", self._absorbed // SHAKE256_RATE - before)
 
     def squeeze(self, n: int) -> bytes:
         if n < 0:
@@ -84,7 +84,7 @@ class Xof:
         if n == 0:
             return b""
         self.finalized = True
-        counters.add_bytes_copied(n)
+        counters.add("bytes_copied", n)
         before = -(-self._squeezed // SHAKE256_RATE)
         if len(self._tail) < n:
             grow = max(n - len(self._tail), self._next_chunk)
@@ -94,7 +94,7 @@ class Xof:
         out = self._tail[:n]
         self._tail = self._tail[n:]
         self._squeezed += n
-        counters.add_permutations(-(-self._squeezed // SHAKE256_RATE) - before)
+        counters.add("keccak_permutations", -(-self._squeezed // SHAKE256_RATE) - before)
         return out
 
 
@@ -134,7 +134,7 @@ def sample_fixed_weight(xof: Xof, weight: int, n: int) -> SparsePoly:
         if coordinate in picked:
             continue
         picked.add(coordinate)
-    counters.add_samples_drawn(draws)
+    counters.add("samples_drawn", draws)
     return SparsePoly(n, tuple(sorted(picked)))
 
 
@@ -157,8 +157,8 @@ def sample_message(xof: Xof, k: int) -> bytes:
 
 
 def _sha3_512(data: bytes) -> bytes:
-    counters.add_bytes_copied(len(data))
-    counters.add_permutations(len(data) // SHA3_512_RATE + 1)
+    counters.add("bytes_copied", len(data))
+    counters.add("keccak_permutations", len(data) // SHA3_512_RATE + 1)
     return hashlib.sha3_512(data).digest()
 
 

@@ -3,8 +3,8 @@
 A test oracle for `hqc128.sampling.Xof`, which runs on hashlib: the
 permutation is checked against the published zero-state vectors, the sponge
 against hashlib stream for stream, and its permutation count (one
-`counters.add_permutations` call per permutation) against the count that
-`Xof` derives from its cursors.
+`counters.add("keccak_permutations", 1)` call per permutation) against the
+count that `Xof` derives from its cursors.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def keccak_f1600(state: KeccakState) -> KeccakState:
             a[y + 3] = b3 ^ (~b4 & b0) & _MASK64
             a[y + 4] = b4 ^ (~b0 & b1) & _MASK64
         a[0] ^= rc
-    counters.add_permutations(1)
+    counters.add("keccak_permutations", 1)
     return KeccakState(a)
 
 

@@ -1,9 +1,14 @@
 """Source-level rules for the package."""
 
 import ast
+import re
+from dataclasses import fields
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "hqc128"
+from hqc128.counters import Counters
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hqc128"
 
 
 def test_src_has_no_assert_statements():
@@ -14,3 +19,27 @@ def test_src_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_counter_hooks_name_a_counters_field():
+    # a misspelt name raises only when a counting context is active, and no
+    # profiled phase reaches some hooks (gf256.gf_mul), so check every call
+    names = {f.name for f in fields(Counters)}
+    bad = []
+    for path in [*sorted(SRC.glob("*.py")), ROOT / "tests" / "keccak_ref.py"]:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and ast.unparse(node).startswith("counters.add_"):
+                bad.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "counters.add":
+                first = node.args[0] if node.args else None
+                if not (isinstance(first, ast.Constant) and first.value in names):
+                    bad.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert bad == []
+
+
+def test_readme_lists_every_module():
+    listed = set(re.findall(r"^\| `hqc128\.(\w+)` \|", (ROOT / "README.md").read_text(),
+                            re.MULTILINE))
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__", "__main__"}
+    assert modules - listed == set()

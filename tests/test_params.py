@@ -27,7 +27,6 @@ def test_code_fits_inside_ring():
 def test_word_counts():
     p = hqc128()
     assert p.words_n == 277
-    assert p.words_2n == 553
     assert p.n_bytes == 2209
 
 
@@ -50,7 +49,6 @@ def test_overweight_is_flagged():
 def test_word_counts_follow_n():
     p = replace(hqc128(), n=17729)
     assert p.words_n == 278
-    assert p.words_2n == 555
 
 
 def test_rs_redundancy_consistency():
