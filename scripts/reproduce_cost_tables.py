@@ -49,7 +49,7 @@ def main() -> None:
         cells = []
         for phase in cm.PHASES:
             est = cm.estimate_cycles(cfg, profiles[phase])
-            impr = 100.0 * (1.0 - est.total / cm.SW_TOTAL[phase])
+            impr = cm.improvement(est.total, cm.SW_TOTAL[phase])
             cells.append(f"{est.total/1000:>8.0f}k {impr:5.1f}%")
         print(f"{label:<20}" + "".join(f"{c:>16}" for c in cells))
     print()

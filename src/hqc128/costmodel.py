@@ -5,10 +5,12 @@ Two separate mechanisms live here:
 
 * ``profile`` runs one KEM phase with instrumented primitives and returns the
   raw invocation counters plus wall time. For reporting, counters are
-  attributed software-equivalent cycles through ``SW_UNIT_CYCLES`` - per-unit
-  weights calibrated once against the published RISC-V reference baseline
-  (each weight names its anchor cell). The qualitative finding these shares
-  reproduce: SHAKE, ring arithmetic and memory traffic dominate every phase.
+  attributed software-equivalent cycles through ``unit_weights``: each weight
+  is one cell of the published RISC-V reference baseline divided by the
+  counter that drives it, both taken at ``CALIBRATION_SEED`` (table
+  ``WEIGHT_ANCHORS``), derived on first use. The qualitative finding these
+  shares reproduce: SHAKE, ring arithmetic and memory traffic dominate every
+  phase.
 
 * ``estimate_cycles`` is a first-order linear model of the accelerated
   system: each category either keeps its published software-baseline share or
@@ -26,6 +28,7 @@ sheet, and improvement columns are reported against both baselines
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, fields
 
@@ -84,25 +87,20 @@ SW_TOTAL = {phase: sum(v.values()) for phase, v in SW_BASELINE.items()}
 # improvement baseline.
 DMA_SW_OPT_ROW = {"keygen": 3_587_000, "encaps": 7_044_000, "decaps": 10_851_000}
 
-# Per-unit software cycle weights used to attribute measured counters to
-# categories for reporting. Each was calibrated once against one anchor cell
-# of the published baseline, divided by a counter value:
-#   per_permutation : Keygen SHAKE 1854k over 23 permutations
-#   per_ring_word_op: Keygen Arithmetic-in-R 1540k over 36,696 word ops
-#   per_byte_copied : Keygen Memory-Operation 2071k over 7,431 bytes
-#   per_sample_draw : Keygen Sampling 81k over 133 candidate draws
-#   per_gf_mul      : Encaps gf_mul 20k over 480 multiplications
-#   per_rm_block    : Decaps RM-Decode 1358k over 46 blocks
-# Three of those divisors are not what this code counts: the zero-seed keygen
-# profile gives 21 permutations, 7,233 bytes and 132 draws (the other three
-# match). The weights stay as calibrated until they are refitted in code.
-SW_UNIT_CYCLES = {
-    "per_permutation": 80_600,
-    "per_ring_word_op": 42,
-    "per_byte_copied": 279,
-    "per_sample_draw": 609,
-    "per_gf_mul": 42,
-    "per_rm_block": 29_522,
+# The seed the unit weights are calibrated at.
+CALIBRATION_SEED = bytes(range(40))
+
+# Attributed category: (phase, SW_BASELINE category, counter). The category's
+# unit weight is that baseline cell over the counter's value in
+# profile(phase, CALIBRATION_SEED), so at that seed the attribution
+# reproduces the cell.
+WEIGHT_ANCHORS = {
+    "arithmetic_r": ("keygen", "arithmetic_r", "ring_word_ops"),
+    "shake": ("keygen", "shake", "keccak_permutations"),
+    "rs_rm": ("decaps", "rm_decode", "rm_blocks_decoded"),
+    "sampling": ("keygen", "sampling", "samples_drawn"),
+    "memory": ("keygen", "memory", "bytes_copied"),
+    "rest": ("encaps", "gf_mul", "gf_muls"),
 }
 
 
@@ -148,20 +146,16 @@ class AcceleratorConfig:
         return "+".join(on) if on else "software-only"
 
 
-@dataclass(frozen=True)
-class CycleConstants:
-    """Accelerator timing constants. The first three are published figures
-    (permutation in 24 cycles; two cycles per resulting word; field multiply
-    in four cycles); the rest are exposed model assumptions."""
-
-    keccak_permute_cycles: int = 24
-    r_unit_cycles_per_word: int = 2
-    gf_insn_cycles: int = 4
-    keccak_io_overhead_cycles: int = 50     # state transfer per permutation
-    r_unit_coord_overhead_cycles: int = 2   # address setup per coordinate
-    sampling_unit_cycles_per_draw: int = 2  # rejection pipeline issue rate
-    rm_decoder_cycles_per_block: int = 400  # fold + transform + peak search
-    dma_factor: float = DMA_FACTOR_DEFAULT
+# Accelerator timing constants. Published: a Keccak permutation in 24 cycles,
+# two cycles per resulting ring word, a field multiply in four cycles.
+KECCAK_PERMUTE_CYCLES = 24
+R_UNIT_CYCLES_PER_WORD = 2
+GF_INSN_CYCLES = 4
+# Model assumptions.
+KECCAK_IO_OVERHEAD_CYCLES = 50      # state transfer per permutation
+R_UNIT_COORD_OVERHEAD_CYCLES = 2    # address setup per coordinate
+SAMPLING_UNIT_CYCLES_PER_DRAW = 2   # rejection pipeline issue rate
+RM_DECODER_CYCLES_PER_BLOCK = 400   # fold + transform + peak search
 
 
 @dataclass(slots=True, kw_only=True)
@@ -173,15 +167,9 @@ class CostProfile(Counters):
 
     def attributed_cycles(self) -> dict[str, float]:
         """Software-equivalent cycles per category (counts x unit weights)."""
-        w = SW_UNIT_CYCLES
-        return {
-            "arithmetic_r": self.ring_word_ops * w["per_ring_word_op"],
-            "shake": self.keccak_permutations * w["per_permutation"],
-            "rs_rm": self.rm_blocks_decoded * w["per_rm_block"],
-            "sampling": self.samples_drawn * w["per_sample_draw"],
-            "memory": self.bytes_copied * w["per_byte_copied"],
-            "rest": self.gf_muls * w["per_gf_mul"],
-        }
+        w = unit_weights()
+        return {cat: getattr(self, counter) * w[cat]
+                for cat, (_, _, counter) in WEIGHT_ANCHORS.items()}
 
     def category_ranking(self) -> list[str]:
         """Categories ordered by attributed share, largest first."""
@@ -214,6 +202,15 @@ def profile(phase: str, seed: bytes, p: ParamSet | None = None) -> CostProfile:
     return prof
 
 
+@functools.cache
+def unit_weights() -> dict[str, float]:
+    """Software cycles per counted unit for each attributed category, derived
+    from WEIGHT_ANCHORS on first use."""
+    profiles = {phase: profile(phase, CALIBRATION_SEED) for phase in PHASES}
+    return {cat: SW_BASELINE[phase][cell] / getattr(profiles[phase], counter)
+            for cat, (phase, cell, counter) in WEIGHT_ANCHORS.items()}
+
+
 @dataclass
 class PhaseEstimate:
     phase: str
@@ -226,13 +223,10 @@ class PhaseEstimate:
         return sum(self.categories.values())
 
 
-def estimate_cycles(cfg: AcceleratorConfig, prof: CostProfile,
-                    consts: CycleConstants | None = None,
-                    p: ParamSet | None = None) -> PhaseEstimate:
+def estimate_cycles(cfg: AcceleratorConfig, prof: CostProfile) -> PhaseEstimate:
     """Per-category cycle estimate: accelerated cost where a flag is set,
     published software baseline otherwise. Emits its formula sheet."""
-    consts = consts or CycleConstants()
-    p = p or hqc128()
+    words_n = hqc128().words_n
     if prof.phase not in PHASES:
         raise ValueError(f"profile has unknown phase {prof.phase!r}")
     base = SW_BASELINE[prof.phase]
@@ -240,15 +234,13 @@ def estimate_cycles(cfg: AcceleratorConfig, prof: CostProfile,
     sheet: list[str] = [f"phase={prof.phase} config={cfg.describe()}"]
 
     if cfg.r_unit:
-        words_per_coord = 2 * (p.words_n + 1)
-        coords = prof.ring_word_ops // words_per_coord
+        coords = prof.ring_word_ops // (2 * (words_n + 1))
         cat["arithmetic_r"] = coords * (
-            consts.r_unit_cycles_per_word * p.words_n
-            + consts.r_unit_coord_overhead_cycles
+            R_UNIT_CYCLES_PER_WORD * words_n + R_UNIT_COORD_OVERHEAD_CYCLES
         )
         sheet.append(
-            f"arithmetic_r = coords * ({consts.r_unit_cycles_per_word} * words_n"
-            f" + {consts.r_unit_coord_overhead_cycles});"
+            f"arithmetic_r = coords * ({R_UNIT_CYCLES_PER_WORD} * words_n"
+            f" + {R_UNIT_COORD_OVERHEAD_CYCLES});"
             f" coords = ring_word_ops / (2 * (words_n + 1)) = {coords}"
         )
     else:
@@ -257,16 +249,16 @@ def estimate_cycles(cfg: AcceleratorConfig, prof: CostProfile,
 
     if cfg.sampling_unit:
         cat["shake"] = prof.keccak_permutations * (
-            consts.keccak_permute_cycles + consts.keccak_io_overhead_cycles
+            KECCAK_PERMUTE_CYCLES + KECCAK_IO_OVERHEAD_CYCLES
         )
-        cat["sampling"] = prof.samples_drawn * consts.sampling_unit_cycles_per_draw
+        cat["sampling"] = prof.samples_drawn * SAMPLING_UNIT_CYCLES_PER_DRAW
         sheet.append(
-            f"shake = permutations * ({consts.keccak_permute_cycles} +"
-            f" {consts.keccak_io_overhead_cycles} io); permutations ="
+            f"shake = permutations * ({KECCAK_PERMUTE_CYCLES} +"
+            f" {KECCAK_IO_OVERHEAD_CYCLES} io); permutations ="
             f" {prof.keccak_permutations}"
         )
         sheet.append(
-            f"sampling = draws * {consts.sampling_unit_cycles_per_draw};"
+            f"sampling = draws * {SAMPLING_UNIT_CYCLES_PER_DRAW};"
             f" draws = {prof.samples_drawn}"
         )
     else:
@@ -276,7 +268,7 @@ def estimate_cycles(cfg: AcceleratorConfig, prof: CostProfile,
         sheet.append("sampling = software baseline")
 
     rm_part = (
-        prof.rm_blocks_decoded * consts.rm_decoder_cycles_per_block
+        prof.rm_blocks_decoded * RM_DECODER_CYCLES_PER_BLOCK
         if cfg.rm_decoder
         else base["rm_decode"]
     )
@@ -284,7 +276,7 @@ def estimate_cycles(cfg: AcceleratorConfig, prof: CostProfile,
     sheet.append(
         f"rs_rm = rs_encode({base['rs_encode']}) + rs_decode({base['rs_decode']}) + "
         + (
-            f"blocks * {consts.rm_decoder_cycles_per_block}; blocks ="
+            f"blocks * {RM_DECODER_CYCLES_PER_BLOCK}; blocks ="
             f" {prof.rm_blocks_decoded}"
             if cfg.rm_decoder
             else f"rm_decode({base['rm_decode']})"
@@ -292,9 +284,9 @@ def estimate_cycles(cfg: AcceleratorConfig, prof: CostProfile,
     )
 
     if cfg.dma:
-        cat["memory"] = base["memory"] * consts.dma_factor
+        cat["memory"] = base["memory"] * DMA_FACTOR_DEFAULT
         sheet.append(
-            f"memory = baseline * dma_factor({consts.dma_factor:.3f};"
+            f"memory = baseline * dma_factor({DMA_FACTOR_DEFAULT:.3f};"
             f" raw least-squares fit {DMA_FACTOR_RAW:.3f} clamped to [0, 1])"
         )
     else:
@@ -302,13 +294,13 @@ def estimate_cycles(cfg: AcceleratorConfig, prof: CostProfile,
         sheet.append("memory = software baseline")
 
     gf_part = (
-        prof.gf_muls * consts.gf_insn_cycles if cfg.gf_insn else base["gf_mul"]
+        prof.gf_muls * GF_INSN_CYCLES if cfg.gf_insn else base["gf_mul"]
     )
     cat["rest"] = base["udiv"] + gf_part + base["rest_other"]
     sheet.append(
         f"rest = udiv({base['udiv']}) + "
         + (
-            f"gf_muls * {consts.gf_insn_cycles}; gf_muls = {prof.gf_muls}"
+            f"gf_muls * {GF_INSN_CYCLES}; gf_muls = {prof.gf_muls}"
             if cfg.gf_insn
             else f"gf_mul({base['gf_mul']})"
         )
@@ -317,11 +309,16 @@ def estimate_cycles(cfg: AcceleratorConfig, prof: CostProfile,
     return PhaseEstimate(prof.phase, cfg, cat, sheet)
 
 
+def improvement(estimate: float, baseline: float) -> float:
+    """Improvement percentage 100 * (1 - estimate/baseline), paper-style."""
+    return 100.0 * (1.0 - estimate / baseline)
+
+
 def speedup_report(base: PhaseEstimate, accel: PhaseEstimate) -> float:
-    """Improvement percentage 100 * (1 - accel/base), paper-style."""
+    """Improvement of `accel` over `base`, which must be the same phase."""
     if base.phase != accel.phase:
         raise ValueError("estimates are for different phases")
-    return 100.0 * (1.0 - accel.total / base.total)
+    return improvement(accel.total, base.total)
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +374,10 @@ def render_costmodel_report(cfg: AcceleratorConfig,
     for est in estimates:
         ref = SW_TOTAL[est.phase]
         alt = DMA_SW_OPT_ROW[est.phase]
-        impr_ref = 100.0 * (1.0 - est.total / ref)
-        impr_alt = 100.0 * (1.0 - est.total / alt)
         lines.append(
             f"{est.phase:<8}{_fmt_k(est.total):>12}{_fmt_k(ref):>12}"
-            f"{impr_ref:>7.1f}%{_fmt_k(alt):>12}{impr_alt:>7.1f}%"
+            f"{improvement(est.total, ref):>7.1f}%{_fmt_k(alt):>12}"
+            f"{improvement(est.total, alt):>7.1f}%"
         )
     lines.append("")
     lines.append("improvement columns: vs software reference, and vs the"

@@ -17,7 +17,8 @@ class Counters:
     keccak_permutations: int = 0
     gf_muls: int = 0
     ring_word_ops: int = 0      # accumulator words read+written in ring mults
-    bytes_copied: int = 0       # bulk buffer traffic (squeezes, serialization, ...)
+    bytes_copied: int = 0       # once per logical buffer where it is made: XOF and
+                                # hash input/output, the codeword mG, wire objects
     samples_drawn: int = 0      # 24-bit candidates drawn, rejected ones included
     rm_blocks_decoded: int = 0
 

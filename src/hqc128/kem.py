@@ -13,7 +13,9 @@ Wire formats (normative, byte-exact):
     sk = seed_sk (40) || pk (2249)               -> 2289 bytes
     ct = u (2209) || v (2209) || d (64)          -> 4482 bytes
 Ring elements serialize bit i into bit (i mod 8) of byte (i div 8); the
-padding bits must be zero and are checked on deserialization.
+padding bits must be zero and are checked on deserialization. Each
+serialize_* / deserialize_* adds its wire length to `bytes_copied` once; the
+secret key adds its seed to what the embedded public key counts.
 """
 
 from __future__ import annotations
@@ -172,8 +174,7 @@ def ct_size(p: ParamSet) -> int:
     return 2 * p.n_bytes + 64
 
 
-def serialize_pk(pk: PublicKey, p: ParamSet | None = None) -> bytes:
-    p = p or hqc128()
+def serialize_pk(pk: PublicKey) -> bytes:
     out = pk.seed_h + pk.s.to_bytes()
     counters.add("bytes_copied", len(out))
     return out
@@ -183,6 +184,7 @@ def deserialize_pk(data: bytes, p: ParamSet | None = None) -> PublicKey:
     p = p or hqc128()
     if len(data) != pk_size(p):
         raise FormatError(f"public key must be {pk_size(p)} bytes")
+    counters.add("bytes_copied", len(data))
     seed_h = data[:p.seed_bytes]
     try:
         s = DensePoly.from_bytes(p.n, data[p.seed_bytes:])
@@ -191,11 +193,9 @@ def deserialize_pk(data: bytes, p: ParamSet | None = None) -> PublicKey:
     return PublicKey(seed_h, s, _expand_h(seed_h, p))
 
 
-def serialize_sk(sk: SecretKey, p: ParamSet | None = None) -> bytes:
-    p = p or hqc128()
-    out = sk.seed_sk + serialize_pk(sk.pk, p)
-    counters.add("bytes_copied", len(out))
-    return out
+def serialize_sk(sk: SecretKey) -> bytes:
+    counters.add("bytes_copied", len(sk.seed_sk))
+    return sk.seed_sk + serialize_pk(sk.pk)
 
 
 def deserialize_sk(data: bytes, p: ParamSet | None = None) -> SecretKey:
@@ -204,12 +204,12 @@ def deserialize_sk(data: bytes, p: ParamSet | None = None) -> SecretKey:
         raise FormatError(f"secret key must be {sk_size(p)} bytes")
     seed_sk = data[:p.seed_bytes]
     pk = deserialize_pk(data[p.seed_bytes:], p)
+    counters.add("bytes_copied", len(seed_sk))
     x, y = _expand_secrets(seed_sk, p)
     return SecretKey(seed_sk, x, y, pk)
 
 
-def serialize_ct(ct: Ciphertext, p: ParamSet | None = None) -> bytes:
-    p = p or hqc128()
+def serialize_ct(ct: Ciphertext) -> bytes:
     out = ct.u.to_bytes() + ct.v.to_bytes() + ct.d
     counters.add("bytes_copied", len(out))
     return out
@@ -219,6 +219,7 @@ def deserialize_ct(data: bytes, p: ParamSet | None = None) -> Ciphertext:
     p = p or hqc128()
     if len(data) != ct_size(p):
         raise FormatError(f"ciphertext must be {ct_size(p)} bytes")
+    counters.add("bytes_copied", len(data))
     nb = p.n_bytes
     try:
         u = DensePoly.from_bytes(p.n, data[:nb])

@@ -7,8 +7,9 @@ accumulator, then folds the accumulator once by X^n - 1. A shift by c builds
 an int of n + c bits, so the time per coordinate grows with c (see the
 side-channel notes in the README).
 
-The counters keep the units of the packed 64-bit word layout that the cost
-model was calibrated on: ceil(n/64) words per ring element.
+`ring_word_ops` keeps the units of the packed 64-bit word layout that the
+R-unit model assumes: ceil(n/64) words per ring element. Conversions to and
+from bytes count nothing; the KEM counts each wire object once.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class DensePoly:
     def to_bytes(self) -> bytes:
         """ceil(n/8) bytes, bit i -> bit (i mod 8) of byte (i div 8)."""
         nbytes = (self.n + 7) >> 3
-        counters.add("bytes_copied", nbytes)
         return self.value.to_bytes(nbytes, "little")
 
     @classmethod
@@ -59,7 +59,6 @@ class DensePoly:
         poly = cls(n, int.from_bytes(data, "little"))
         if not poly.is_canonical():
             raise ValueError("nonzero padding bits beyond degree n-1")
-        counters.add("bytes_copied", nbytes)
         return poly
 
 
@@ -88,7 +87,6 @@ def dense_from_sparse(s: SparsePoly) -> DensePoly:
     value = 0
     for c in s.support:
         value |= 1 << c
-    counters.add("bytes_copied", _words_for(s.n) * 8)
     return DensePoly(s.n, value)
 
 

@@ -1,13 +1,27 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from hqc128 import cli
 from hqc128 import costmodel as cm
 from hqc128 import kem
 from hqc128.params import hqc128
 
 P = hqc128()
 SEED = bytes(range(40))
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, cwd=ROOT, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -55,10 +69,12 @@ def test_profile_ring_word_ops_match_multiplication_count(profiles):
 # rm_blocks_decoded) at the zero seed, the default of `hqc128 profile`.
 # Decaps gf_muls is the fixed RS decoder schedule (4,956, see
 # codes.rs_decode) plus the re-encryption's rs_encode (k * 2 delta = 480).
+# bytes_copied counts each buffer once: keygen's XOF input and output only;
+# encaps and decaps add the hash inputs and the codeword mG (no wire object).
 ZERO_SEED_COUNTS = {
-    "keygen": (21, 0, 36_696, 7_233, 132, 0),
-    "encaps": (70, 480, 83_400, 16_300, 225, 0),
-    "decaps": (69, 5_436, 120_096, 20_661, 225, 46),
+    "keygen": (21, 0, 36_696, 2_808, 132, 0),
+    "encaps": (70, 480, 83_400, 7_450, 225, 0),
+    "decaps": (69, 5_436, 120_096, 7_393, 225, 46),
 }
 
 
@@ -68,6 +84,44 @@ def test_profile_counts_pinned_at_zero_seed():
         got = (prof.keccak_permutations, prof.gf_muls, prof.ring_word_ops,
                prof.bytes_copied, prof.samples_drawn, prof.rm_blocks_decoded)
         assert got == expect, phase
+
+
+def test_unit_weights_reproduce_anchor_cells_at_calibration_seed(profiles):
+    assert SEED == cm.CALIBRATION_SEED
+    for cat, (phase, cell, _) in cm.WEIGHT_ANCHORS.items():
+        attributed = profiles[phase].attributed_cycles()[cat]
+        assert abs(attributed - cm.SW_BASELINE[phase][cell]) <= 1, cat
+
+
+def test_importing_costmodel_runs_no_kem_operation():
+    # the weights are calibrated on first use, not at import
+    code = (
+        "import hqc128.kem as kem\n"
+        "calls = []\n"
+        "for name in ('keygen', 'encaps', 'decaps'):\n"
+        "    def spy(*a, _real=getattr(kem, name), _name=name, **k):\n"
+        "        calls.append(_name)\n"
+        "        return _real(*a, **k)\n"
+        "    setattr(kem, name, spy)\n"
+        "import hqc128.costmodel as cm\n"
+        "at_import = len(calls)\n"
+        "cm.unit_weights()\n"
+        "print(at_import, sorted(set(calls)))\n"
+    )
+    res = run_python("-c", code)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split(None, 1) == ["0", "['decaps', 'encaps', 'keygen']\n"]
+
+
+def test_reproduce_cost_tables_script_matches_cli(capsys):
+    res = run_python("scripts/reproduce_cost_tables.py")
+    assert res.returncode == 0, res.stderr
+    assert any(line.startswith("all units") for line in res.stdout.splitlines())
+    assert cli.main(["costmodel", "--all"]) == 0
+    expect = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("keygen.total=")]
+    got = [line for line in res.stdout.splitlines() if line.startswith("keygen.total=")]
+    assert len(expect) == 1 and got == expect
 
 
 def test_profile_rejects_unknown_phase():
@@ -92,7 +146,7 @@ def test_all_flags_off_reproduces_published_baselines(profiles):
 
 
 def test_r_unit_single_multiplication_formula():
-    # one product of weight 75: 2 * 75 * 277 cycles plus per-coordinate setup
+    # one product of weight 75: 2 cycles per word plus 2 of per-coordinate setup
     prof = cm.CostProfile(
         phase="keygen",
         keccak_permutations=0,
@@ -103,9 +157,8 @@ def test_r_unit_single_multiplication_formula():
         rm_blocks_decoded=0,
         wall_time=0.0,
     )
-    consts = cm.CycleConstants(r_unit_coord_overhead_cycles=0)
-    est = cm.estimate_cycles(cm.AcceleratorConfig(r_unit=True), prof, consts)
-    assert est.categories["arithmetic_r"] == 2 * 75 * 277 == 41_550
+    est = cm.estimate_cycles(cm.AcceleratorConfig(r_unit=True), prof)
+    assert est.categories["arithmetic_r"] == 75 * (2 * 277 + 2) == 41_700
 
 
 def test_accelerated_categories_emit_formula_sheet(profiles):
@@ -117,11 +170,12 @@ def test_accelerated_categories_emit_formula_sheet(profiles):
     assert "blocks" in sheet
 
 
-def test_dma_factor_fit_is_clamped_and_documented():
+def test_dma_factor_fit_is_clamped_and_documented(profiles):
     raw, clamped = cm.fit_dma_factor()
     assert raw < 0  # the published DMA row bundles non-memory optimizations
     assert clamped == 0.0
-    assert cm.CycleConstants().dma_factor == clamped
+    est = cm.estimate_cycles(cm.AcceleratorConfig(dma=True), profiles["decaps"])
+    assert est.categories["memory"] == 0.0
 
 
 def test_full_config_improvement_over_both_baselines(profiles):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hqc128 import kem
+from hqc128.counters import Counters, collecting
 from hqc128.params import hqc128
 from hqc128.poly_ring import DensePoly, add, dense_from_sparse, mul_sparse_dense, weight
 from hqc128.sampling import hash_k
@@ -173,6 +174,34 @@ def test_serialization_roundtrips():
         assert kem.serialize_pk(sk2.pk) == kem.serialize_pk(sk.pk)
         ct2 = kem.deserialize_ct(kem.serialize_ct(ct))
         assert (ct2.u, ct2.v, ct2.d) == (ct.u, ct.v, ct.d)
+
+
+def counted_bytes(fn, *args):
+    record = Counters()
+    with collecting(record):
+        out = fn(*args)
+    return record.bytes_copied, out
+
+
+def test_serialization_counts_each_wire_object_once():
+    pk, sk = make_keypair(bytes(40))
+    ct, _ = kem.encaps(pk, bytes(range(40)))
+    for serialize, obj, size in ((kem.serialize_pk, pk, 2249),
+                                 (kem.serialize_sk, sk, 2289),
+                                 (kem.serialize_ct, ct, 4482)):
+        copied, blob = counted_bytes(serialize, obj)
+        assert copied == len(blob) == size, serialize.__name__
+    # deserializing a key also re-expands it from its seeds, which the XOF
+    # counts on its own
+    expand_h, _ = counted_bytes(kem._expand_h, pk.seed_h, P)
+    expand_xy, _ = counted_bytes(kem._expand_secrets, sk.seed_sk, P)
+    for deserialize, blob, expansion in (
+        (kem.deserialize_pk, kem.serialize_pk(pk), expand_h),
+        (kem.deserialize_sk, kem.serialize_sk(sk), expand_h + expand_xy),
+        (kem.deserialize_ct, kem.serialize_ct(ct), 0),
+    ):
+        copied, _ = counted_bytes(deserialize, blob)
+        assert copied - expansion == len(blob), deserialize.__name__
 
 
 def test_deserialize_rejects_wrong_length():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hqc128 import poly_ring
+from hqc128.counters import Counters, collecting
 from hqc128.poly_ring import (
     DensePoly,
     SparsePoly,
@@ -301,3 +302,16 @@ def test_ct_equal_hands_full_inputs_to_compare_digest(monkeypatch):
 def test_ct_equal_rejects_length_mismatch():
     with pytest.raises(ValueError):
         ct_equal(b"ab", b"abc")
+
+
+def test_byte_conversions_count_nothing():
+    # bytes_copied is counted where a buffer is made (XOF, hash, mG, wire
+    # objects), not on each conversion of a ring element
+    rng = random.Random(12)
+    n = 17669
+    d = rand_dense(n, rng)
+    record = Counters()
+    with collecting(record):
+        DensePoly.from_bytes(n, d.to_bytes())
+        dense_from_sparse(rand_sparse(n, 75, rng))
+    assert record == Counters()
