@@ -9,6 +9,7 @@ Prints, for a fixed seed:
 """
 
 import argparse
+from dataclasses import fields
 
 from hqc128 import costmodel as cm
 from hqc128.params import hqc128
@@ -18,7 +19,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", default="00" * 40, help="hex profiling seed")
     args = parser.parse_args()
-    seed = bytes.fromhex(args.seed)
+    try:
+        seed = bytes.fromhex(args.seed)
+    except ValueError:
+        seed = b""  # not hex: reported like a wrong length
     if len(seed) != hqc128().seed_bytes:
         parser.error("seed must be 40 bytes of hex")
 
@@ -32,11 +36,8 @@ def main() -> None:
 
     ablation = [
         ("software baseline", cm.AcceleratorConfig.none()),
-        ("+ dma", cm.AcceleratorConfig(dma=True)),
-        ("+ r-unit", cm.AcceleratorConfig(r_unit=True)),
-        ("+ sampling-unit", cm.AcceleratorConfig(sampling_unit=True)),
-        ("+ rm-decoder", cm.AcceleratorConfig(rm_decoder=True)),
-        ("+ gf-instruction", cm.AcceleratorConfig(gf_insn=True)),
+        *((f"+ {unit.name.replace('_', '-')}", cm.AcceleratorConfig(**{unit.name: True}))
+          for unit in fields(cm.AcceleratorConfig)),
         ("all units", cm.AcceleratorConfig.all()),
     ]
     print("=" * 72)

@@ -12,6 +12,7 @@ import os
 import statistics
 import sys
 import time
+from dataclasses import fields
 
 from . import costmodel, kem
 from .params import hqc128
@@ -226,16 +227,9 @@ def cmd_profile(args) -> int:
 
 def cmd_costmodel(args) -> int:
     seed = _profile_seed(args)
-    if args.all:
-        cfg = costmodel.AcceleratorConfig.all()
-    else:
-        cfg = costmodel.AcceleratorConfig(
-            dma=args.dma,
-            r_unit=args.r_unit,
-            sampling_unit=args.sampling_unit,
-            rm_decoder=args.rm_decoder,
-            gf_insn=args.gf_insn,
-        )
+    cfg = costmodel.AcceleratorConfig(**{
+        u.name: args.all or getattr(args, u.name)
+        for u in fields(costmodel.AcceleratorConfig)})
     estimates = [
         costmodel.estimate_cycles(cfg, costmodel.profile(ph, seed))
         for ph in costmodel.PHASES
@@ -296,11 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pro.set_defaults(func=cmd_profile)
 
     cst = sub.add_parser("costmodel", help="accelerator cycle estimates")
-    cst.add_argument("--dma", action="store_true")
-    cst.add_argument("--r-unit", action="store_true")
-    cst.add_argument("--sampling-unit", action="store_true")
-    cst.add_argument("--rm-decoder", action="store_true")
-    cst.add_argument("--gf-insn", action="store_true")
+    for unit in fields(costmodel.AcceleratorConfig):
+        cst.add_argument(f"--{unit.name.replace('_', '-')}", action="store_true")
     cst.add_argument("--all", action="store_true", help="enable every unit")
     cst.add_argument("--seed", help="40-byte hex profiling seed")
     cst.set_defaults(func=cmd_costmodel)

@@ -1,25 +1,21 @@
 """Profiling counters over the software execution plus an analytical cycle
-model of the hardware accelerators.
-
-Two separate mechanisms live here:
+model of the hardware accelerators, both driven by one table, ``CATEGORIES``.
 
 * ``profile`` runs one KEM phase with instrumented primitives and returns the
-  raw invocation counters plus wall time. For reporting, counters are
-  attributed software-equivalent cycles through ``unit_weights``: each weight
-  is one cell of the published RISC-V reference baseline divided by the
-  counter that drives it, both taken at ``CALIBRATION_SEED`` (table
-  ``WEIGHT_ANCHORS``), derived on first use. The qualitative finding these
-  shares reproduce: SHAKE, ring arithmetic and memory traffic dominate every
-  phase.
+  raw invocation counters plus wall time. For reporting, each category's
+  counter is attributed software-equivalent cycles through ``unit_weights``,
+  calibrated at ``CALIBRATION_SEED`` on first use. The qualitative finding
+  these shares reproduce: SHAKE, ring arithmetic and memory traffic dominate
+  every phase.
 
 * ``estimate_cycles`` is a first-order linear model of the accelerated
-  system: each category either keeps its published software-baseline share or
-  is replaced by counts x accelerator constants when the matching accelerator
-  flag is on. It is anchored, not simulated - absolute numbers for the
+  system: each category sums its published software cells, with the one its
+  counter drives replaced by count x accelerator cycles when the category's
+  unit is on. It is anchored, not simulated - absolute numbers for the
   unaccelerated system are the published totals by construction.
 
-The DMA factor deserves a note: the published "DMA + SW_OPT" row bundles
-software optimizations that reach beyond the memory category, so the
+The DMA unit scales its cell instead: the published "DMA + SW_OPT" row
+bundles software optimizations that reach beyond the memory category, so the
 single-scalar least-squares fit over the three phases lands negative and is
 clamped to 0.0. Both the raw and the clamped value appear in the formula
 sheet, and improvement columns are reported against both baselines
@@ -31,6 +27,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from . import kem
 from .counters import Counters, collecting
@@ -90,19 +87,6 @@ DMA_SW_OPT_ROW = {"keygen": 3_587_000, "encaps": 7_044_000, "decaps": 10_851_000
 # The seed the unit weights are calibrated at.
 CALIBRATION_SEED = bytes(range(40))
 
-# Attributed category: (phase, SW_BASELINE category, counter). The category's
-# unit weight is that baseline cell over the counter's value in
-# profile(phase, CALIBRATION_SEED), so at that seed the attribution
-# reproduces the cell.
-WEIGHT_ANCHORS = {
-    "arithmetic_r": ("keygen", "arithmetic_r", "ring_word_ops"),
-    "shake": ("keygen", "shake", "keccak_permutations"),
-    "rs_rm": ("decaps", "rm_decode", "rm_blocks_decoded"),
-    "sampling": ("keygen", "sampling", "samples_drawn"),
-    "memory": ("keygen", "memory", "bytes_copied"),
-    "rest": ("encaps", "gf_mul", "gf_muls"),
-}
-
 
 def fit_dma_factor() -> tuple[float, float]:
     """Least-squares scalar for the memory category against the DMA+SW_OPT
@@ -138,24 +122,66 @@ class AcceleratorConfig:
 
     @classmethod
     def all(cls) -> "AcceleratorConfig":
-        return cls(dma=True, r_unit=True, sampling_unit=True,
-                   rm_decoder=True, gf_insn=True)
+        return cls(**{f.name: True for f in fields(cls)})
 
     def describe(self) -> str:
         on = [f.name for f in fields(self) if getattr(self, f.name)]
         return "+".join(on) if on else "software-only"
 
 
-# Accelerator timing constants. Published: a Keccak permutation in 24 cycles,
-# two cycles per resulting ring word, a field multiply in four cycles.
+class Category(NamedTuple):
+    """One cost category: the SW_BASELINE ``cells`` it sums, and the one cell
+    of them, ``driven``, that ``counter`` drives. The unit weight is that cell
+    at phase ``anchor`` over the counter at CALIBRATION_SEED. With ``unit`` on,
+    the cell becomes count x ``cycles_per_count``, or, where that is None
+    (DMA), the cell x DMA_FACTOR_DEFAULT."""
+
+    cells: tuple[str, ...]
+    driven: str
+    counter: str
+    anchor: str
+    unit: str
+    cycles_per_count: float | None
+    derivation: str
+
+
+# Accelerator timing. Published: a Keccak permutation in 24 cycles, two cycles
+# per resulting ring word, a field multiply in four cycles. The other cycle
+# counts in CATEGORIES are model assumptions.
 KECCAK_PERMUTE_CYCLES = 24
-R_UNIT_CYCLES_PER_WORD = 2
-GF_INSN_CYCLES = 4
-# Model assumptions.
 KECCAK_IO_OVERHEAD_CYCLES = 50      # state transfer per permutation
+R_UNIT_CYCLES_PER_WORD = 2
 R_UNIT_COORD_OVERHEAD_CYCLES = 2    # address setup per coordinate
-SAMPLING_UNIT_CYCLES_PER_DRAW = 2   # rejection pipeline issue rate
-RM_DECODER_CYCLES_PER_BLOCK = 400   # fold + transform + peak search
+# One R-unit coordinate is 2 * (words_n + 1) ring word ops and costs
+# 2 * words_n + 2 cycles, so the unit spends one cycle per ring word op.
+_WORDS_N = hqc128().words_n
+_R_COORD_CYCLES = R_UNIT_CYCLES_PER_WORD * _WORDS_N + R_UNIT_COORD_OVERHEAD_CYCLES
+
+CATEGORIES = {
+    "arithmetic_r": Category(
+        ("arithmetic_r",), "arithmetic_r", "ring_word_ops", "keygen", "r_unit",
+        _R_COORD_CYCLES / (2 * (_WORDS_N + 1)),
+        "coords = ring_word_ops / (2 * (words_n + 1)) at"
+        f" {R_UNIT_CYCLES_PER_WORD} * words_n + {R_UNIT_COORD_OVERHEAD_CYCLES}"
+        f" = {_R_COORD_CYCLES} each"),
+    "shake": Category(
+        ("shake",), "shake", "keccak_permutations", "keygen", "sampling_unit",
+        KECCAK_PERMUTE_CYCLES + KECCAK_IO_OVERHEAD_CYCLES,
+        f"Keccak {KECCAK_PERMUTE_CYCLES} + {KECCAK_IO_OVERHEAD_CYCLES} io"),
+    "sampling": Category(
+        ("sampling",), "sampling", "samples_drawn", "keygen", "sampling_unit",
+        2, "rejection pipeline issue rate (assumed)"),
+    "rs_rm": Category(
+        ("rs_encode", "rs_decode", "rm_decode"), "rm_decode",
+        "rm_blocks_decoded", "decaps", "rm_decoder",
+        400, "fold + transform + peak search per block (assumed)"),
+    "memory": Category(
+        ("memory",), "memory", "bytes_copied", "keygen", "dma", None,
+        f"dma_factor = least-squares fit {DMA_FACTOR_RAW:.3f} clamped to [0, 1]"),
+    "rest": Category(
+        ("udiv", "gf_mul", "rest_other"), "gf_mul", "gf_muls", "encaps",
+        "gf_insn", 4, "published field-multiply latency"),
+}
 
 
 @dataclass(slots=True, kw_only=True)
@@ -168,8 +194,8 @@ class CostProfile(Counters):
     def attributed_cycles(self) -> dict[str, float]:
         """Software-equivalent cycles per category (counts x unit weights)."""
         w = unit_weights()
-        return {cat: getattr(self, counter) * w[cat]
-                for cat, (_, _, counter) in WEIGHT_ANCHORS.items()}
+        return {name: getattr(self, row.counter) * w[name]
+                for name, row in CATEGORIES.items()}
 
     def category_ranking(self) -> list[str]:
         """Categories ordered by attributed share, largest first."""
@@ -204,11 +230,12 @@ def profile(phase: str, seed: bytes, p: ParamSet | None = None) -> CostProfile:
 
 @functools.cache
 def unit_weights() -> dict[str, float]:
-    """Software cycles per counted unit for each attributed category, derived
-    from WEIGHT_ANCHORS on first use."""
+    """Software cycles per counted unit for each category, derived from
+    CATEGORIES on first use."""
     profiles = {phase: profile(phase, CALIBRATION_SEED) for phase in PHASES}
-    return {cat: SW_BASELINE[phase][cell] / getattr(profiles[phase], counter)
-            for cat, (phase, cell, counter) in WEIGHT_ANCHORS.items()}
+    return {name: SW_BASELINE[row.anchor][row.driven]
+            / getattr(profiles[row.anchor], row.counter)
+            for name, row in CATEGORIES.items()}
 
 
 @dataclass
@@ -224,88 +251,26 @@ class PhaseEstimate:
 
 
 def estimate_cycles(cfg: AcceleratorConfig, prof: CostProfile) -> PhaseEstimate:
-    """Per-category cycle estimate: accelerated cost where a flag is set,
-    published software baseline otherwise. Emits its formula sheet."""
-    words_n = hqc128().words_n
+    """Per-category cycle estimate: each category sums its software baseline
+    cells, with the driven cell replaced where the row's unit is on. Emits one
+    formula-sheet line per category."""
     if prof.phase not in PHASES:
         raise ValueError(f"profile has unknown phase {prof.phase!r}")
     base = SW_BASELINE[prof.phase]
     cat: dict[str, float] = {}
     sheet: list[str] = [f"phase={prof.phase} config={cfg.describe()}"]
-
-    if cfg.r_unit:
-        coords = prof.ring_word_ops // (2 * (words_n + 1))
-        cat["arithmetic_r"] = coords * (
-            R_UNIT_CYCLES_PER_WORD * words_n + R_UNIT_COORD_OVERHEAD_CYCLES
-        )
-        sheet.append(
-            f"arithmetic_r = coords * ({R_UNIT_CYCLES_PER_WORD} * words_n"
-            f" + {R_UNIT_COORD_OVERHEAD_CYCLES});"
-            f" coords = ring_word_ops / (2 * (words_n + 1)) = {coords}"
-        )
-    else:
-        cat["arithmetic_r"] = base["arithmetic_r"]
-        sheet.append("arithmetic_r = software baseline")
-
-    if cfg.sampling_unit:
-        cat["shake"] = prof.keccak_permutations * (
-            KECCAK_PERMUTE_CYCLES + KECCAK_IO_OVERHEAD_CYCLES
-        )
-        cat["sampling"] = prof.samples_drawn * SAMPLING_UNIT_CYCLES_PER_DRAW
-        sheet.append(
-            f"shake = permutations * ({KECCAK_PERMUTE_CYCLES} +"
-            f" {KECCAK_IO_OVERHEAD_CYCLES} io); permutations ="
-            f" {prof.keccak_permutations}"
-        )
-        sheet.append(
-            f"sampling = draws * {SAMPLING_UNIT_CYCLES_PER_DRAW};"
-            f" draws = {prof.samples_drawn}"
-        )
-    else:
-        cat["shake"] = base["shake"]
-        cat["sampling"] = base["sampling"]
-        sheet.append("shake = software baseline")
-        sheet.append("sampling = software baseline")
-
-    rm_part = (
-        prof.rm_blocks_decoded * RM_DECODER_CYCLES_PER_BLOCK
-        if cfg.rm_decoder
-        else base["rm_decode"]
-    )
-    cat["rs_rm"] = base["rs_encode"] + base["rs_decode"] + rm_part
-    sheet.append(
-        f"rs_rm = rs_encode({base['rs_encode']}) + rs_decode({base['rs_decode']}) + "
-        + (
-            f"blocks * {RM_DECODER_CYCLES_PER_BLOCK}; blocks ="
-            f" {prof.rm_blocks_decoded}"
-            if cfg.rm_decoder
-            else f"rm_decode({base['rm_decode']})"
-        )
-    )
-
-    if cfg.dma:
-        cat["memory"] = base["memory"] * DMA_FACTOR_DEFAULT
-        sheet.append(
-            f"memory = baseline * dma_factor({DMA_FACTOR_DEFAULT:.3f};"
-            f" raw least-squares fit {DMA_FACTOR_RAW:.3f} clamped to [0, 1])"
-        )
-    else:
-        cat["memory"] = base["memory"]
-        sheet.append("memory = software baseline")
-
-    gf_part = (
-        prof.gf_muls * GF_INSN_CYCLES if cfg.gf_insn else base["gf_mul"]
-    )
-    cat["rest"] = base["udiv"] + gf_part + base["rest_other"]
-    sheet.append(
-        f"rest = udiv({base['udiv']}) + "
-        + (
-            f"gf_muls * {GF_INSN_CYCLES}; gf_muls = {prof.gf_muls}"
-            if cfg.gf_insn
-            else f"gf_mul({base['gf_mul']})"
-        )
-        + f" + other({base['rest_other']})"
-    )
+    for name, row in CATEGORIES.items():
+        on = getattr(cfg, row.unit)
+        terms = {cell: (f"{cell}({base[cell]})", base[cell]) for cell in row.cells}
+        if on:
+            what, count, factor = (
+                (row.driven, base[row.driven], DMA_FACTOR_DEFAULT)
+                if row.cycles_per_count is None
+                else (row.counter, getattr(prof, row.counter), row.cycles_per_count))
+            terms[row.driven] = (f"{what}({count}) * {factor:g}", count * factor)
+        cat[name] = sum(cycles for _, cycles in terms.values())
+        sheet.append(f"{name} = {' + '.join(text for text, _ in terms.values())}"
+                     + (f"; {row.unit}: {row.derivation}" if on else ""))
     return PhaseEstimate(prof.phase, cfg, cat, sheet)
 
 

@@ -88,9 +88,9 @@ def test_profile_counts_pinned_at_zero_seed():
 
 def test_unit_weights_reproduce_anchor_cells_at_calibration_seed(profiles):
     assert SEED == cm.CALIBRATION_SEED
-    for cat, (phase, cell, _) in cm.WEIGHT_ANCHORS.items():
-        attributed = profiles[phase].attributed_cycles()[cat]
-        assert abs(attributed - cm.SW_BASELINE[phase][cell]) <= 1, cat
+    for cat, row in cm.CATEGORIES.items():
+        attributed = profiles[row.anchor].attributed_cycles()[cat]
+        assert abs(attributed - cm.SW_BASELINE[row.anchor][row.driven]) <= 1, cat
 
 
 def test_importing_costmodel_runs_no_kem_operation():
@@ -124,6 +124,14 @@ def test_reproduce_cost_tables_script_matches_cli(capsys):
     assert len(expect) == 1 and got == expect
 
 
+def test_reproduce_cost_tables_script_rejects_bad_seed_as_usage_error():
+    for seed in ("zz", "00"):
+        res = run_python("scripts/reproduce_cost_tables.py", "--seed", seed)
+        assert res.returncode == 2, (seed, res.stderr)
+        assert "seed must be 40 bytes of hex" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 def test_profile_rejects_unknown_phase():
     with pytest.raises(ValueError):
         cm.profile("sign", SEED)
@@ -143,6 +151,30 @@ def test_all_flags_off_reproduces_published_baselines(profiles):
     for phase in cm.PHASES:
         est = cm.estimate_cycles(cm.AcceleratorConfig.none(), profiles[phase])
         assert est.total == cm.SW_TOTAL[phase]
+
+
+# estimate_cycles(...).total per (keygen, encaps, decaps) at the zero seed:
+# the software baseline, each single unit, and every unit together.
+ZERO_SEED_ABLATION_TOTALS = {
+    "none": (5_609_000, 13_850_000, 19_903_000),
+    "dma": (3_538_000, 8_782_000, 12_728_000),
+    "r_unit": (4_105_696, 10_485_400, 15_034_096),
+    "sampling_unit": (3_675_818, 8_693_630, 14_258_556),
+    "rm_decoder": (5_609_000, 13_850_000, 18_563_400),
+    "gf_insn": (5_609_000, 13_831_920, 19_762_744),
+    "all": (101_514, 242_950, 734_796),
+}
+
+
+def test_ablation_totals_pinned_at_zero_seed():
+    profs = {phase: cm.profile(phase, bytes(P.seed_bytes)) for phase in cm.PHASES}
+    for name, expect in ZERO_SEED_ABLATION_TOTALS.items():
+        if name in ("none", "all"):
+            cfg = getattr(cm.AcceleratorConfig, name)()
+        else:
+            cfg = cm.AcceleratorConfig(**{name: True})
+        got = tuple(cm.estimate_cycles(cfg, profs[phase]).total for phase in cm.PHASES)
+        assert got == expect, name
 
 
 def test_r_unit_single_multiplication_formula():

@@ -5,6 +5,8 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+from hqc128 import cli
+from hqc128 import costmodel as cm
 from hqc128.counters import Counters
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,3 +45,21 @@ def test_readme_lists_every_module():
                             re.MULTILINE))
     modules = {path.stem for path in SRC.glob("*.py")} - {"__init__", "__main__"}
     assert modules - listed == set()
+
+
+def test_cost_categories_cover_every_unit_and_baseline_cell(capsys):
+    units = [f.name for f in fields(cm.AcceleratorConfig)]
+    rows = cm.CATEGORIES.values()
+    assert {row.unit for row in rows} == set(units)
+    for phase, cells in cm.SW_BASELINE.items():
+        owners = {cell: [name for name, row in cm.CATEGORIES.items() if cell in row.cells]
+                  for cell in cells}
+        assert all(len(o) == 1 for o in owners.values()), (phase, owners)
+    for row in rows:
+        assert row.driven in row.cells and row.anchor in cm.PHASES
+        assert row.counter in {f.name for f in fields(Counters)}
+    # each unit is a `hqc128 costmodel` flag that turns on that unit alone
+    for unit in units:
+        assert cli.main(["costmodel", f"--{unit.replace('_', '-')}"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == f"configuration: {unit}"
