@@ -15,7 +15,6 @@ import time
 from dataclasses import fields
 
 from . import costmodel, kem
-from .params import hqc128
 from .sampling import DOMAIN_COINS, DOMAIN_KAT_CHAIN, Xof
 
 EXIT_OK = 0
@@ -25,17 +24,13 @@ EXIT_IO = 3
 EXIT_REJECT = 4
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_hex(text: str, expect_len: int, what: str) -> bytes:
     try:
         raw = bytes.fromhex(text)
     except ValueError as exc:
-        raise UsageError(f"{what}: invalid hex: {exc}") from exc
+        raise ValueError(f"{what}: invalid hex: {exc}") from exc
     if len(raw) != expect_len:
-        raise UsageError(f"{what}: expected {expect_len} bytes, got {len(raw)}")
+        raise ValueError(f"{what}: expected {expect_len} bytes, got {len(raw)}")
     return raw
 
 
@@ -46,7 +41,7 @@ def _read_file(path: str, hex_mode: bool) -> bytes:
         try:
             return bytes.fromhex(data.decode("ascii").strip())
         except (UnicodeDecodeError, ValueError) as exc:
-            raise UsageError(f"{path}: invalid hex content: {exc}") from exc
+            raise ValueError(f"{path}: invalid hex content: {exc}") from exc
     return data
 
 
@@ -56,10 +51,9 @@ def _write_file(path: str, data: bytes, hex_mode: bool) -> None:
 
 
 def _seed_or_entropy(hex_seed: str | None, what: str) -> bytes:
-    p = hqc128()
     if hex_seed is None:
-        return os.urandom(p.seed_bytes)
-    return _parse_hex(hex_seed, p.seed_bytes, what)
+        return os.urandom(kem.P.seed_bytes)
+    return _parse_hex(hex_seed, kem.P.seed_bytes, what)
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +94,8 @@ def cmd_decaps(args) -> int:
 
 
 def _kat_record(rec_seed: bytes) -> dict[str, bytes]:
-    p = hqc128()
     pk, sk = kem.keygen(rec_seed)
-    coins = Xof(rec_seed, DOMAIN_COINS).squeeze(p.seed_bytes)
+    coins = Xof(rec_seed, DOMAIN_COINS).squeeze(kem.P.seed_bytes)
     ct, ss = kem.encaps(pk, coins)
     return {
         "seed": rec_seed,
@@ -115,14 +108,13 @@ def _kat_record(rec_seed: bytes) -> dict[str, bytes]:
 
 def cmd_kat(args) -> int:
     if args.count <= 0:
-        raise UsageError("--count must be positive")
-    p = hqc128()
-    master_seed = _parse_hex(args.seed, p.seed_bytes, "--seed")
+        raise ValueError("--count must be positive")
+    master_seed = _parse_hex(args.seed, kem.P.seed_bytes, "--seed")
     chain = Xof(master_seed, DOMAIN_KAT_CHAIN)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(f"# hqc128 known-answer records ({args.count})\n\n")
         for i in range(args.count):
-            record = _kat_record(chain.squeeze(p.seed_bytes))
+            record = _kat_record(chain.squeeze(kem.P.seed_bytes))
             fh.write(f"count = {i}\n")
             for name in ("seed", "pk", "sk", "ct", "ss"):
                 fh.write(f"{name} = {record[name].hex()}\n")
@@ -143,7 +135,7 @@ def _parse_kat(path: str) -> list[dict[str, str]]:
                     current = {}
                 continue
             if "=" not in line:
-                raise UsageError(f"{path}: malformed line {line!r}")
+                raise ValueError(f"{path}: malformed line {line!r}")
             name, _, value = line.partition("=")
             current[name.strip()] = value.strip()
     if current:
@@ -155,14 +147,14 @@ def cmd_kat_verify(args) -> int:
     failures = 0
     records = _parse_kat(getattr(args, "in"))
     if not records:
-        raise UsageError("no records found")
+        raise ValueError("no records found")
     for record in records:
         count = record.get("count", "?")
         try:
             rec_seed = bytes.fromhex(record["seed"])
             expect = {name: bytes.fromhex(record[name]) for name in ("pk", "sk", "ct", "ss")}
         except (KeyError, ValueError) as exc:
-            raise UsageError(f"record {count}: malformed: {exc}") from exc
+            raise ValueError(f"record {count}: malformed: {exc}") from exc
         regenerated = _kat_record(rec_seed)
         ok = all(regenerated[name] == expect[name] for name in ("pk", "sk", "ct", "ss"))
         if ok:
@@ -179,14 +171,13 @@ def cmd_kat_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.iters <= 0:
-        raise UsageError("--iters must be positive")
-    p = hqc128()
+        raise ValueError("--iters must be positive")
     times: dict[str, list[float]] = {ph: [] for ph in costmodel.PHASES}
-    chain = Xof(b"\x00" * p.seed_bytes, DOMAIN_KAT_CHAIN)
+    chain = Xof(bytes(kem.P.seed_bytes), DOMAIN_KAT_CHAIN)
     mismatches = 0
     for _ in range(args.iters):
-        seed = chain.squeeze(p.seed_bytes)
-        coins = Xof(seed, DOMAIN_COINS).squeeze(p.seed_bytes)
+        seed = chain.squeeze(kem.P.seed_bytes)
+        coins = Xof(seed, DOMAIN_COINS).squeeze(kem.P.seed_bytes)
         t0 = time.perf_counter()
         pk, sk = kem.keygen(seed)
         t1 = time.perf_counter()
@@ -211,10 +202,9 @@ def cmd_bench(args) -> int:
 
 
 def _profile_seed(args) -> bytes:
-    p = hqc128()
     if getattr(args, "seed", None) is None:
-        return bytes(p.seed_bytes)
-    return _parse_hex(args.seed, p.seed_bytes, "--seed")
+        return bytes(kem.P.seed_bytes)
+    return _parse_hex(args.seed, kem.P.seed_bytes, "--seed")
 
 
 def cmd_profile(args) -> int:
@@ -302,9 +292,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except kem.FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_USAGE

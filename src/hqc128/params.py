@@ -1,7 +1,8 @@
 """HQC-128 parameter set.
 
 Every other module reads its constants from the record returned by
-:func:`hqc128`; a corrected constant therefore touches exactly one place.
+:func:`hqc128`, which ``kem`` binds once as ``kem.P``; a corrected constant
+therefore touches exactly one place.
 """
 
 from __future__ import annotations
@@ -13,11 +14,8 @@ MAX_SECRET_WEIGHT = 75
 
 @dataclass(frozen=True)
 class ParamSet:
-    """All HQC constants in one validated record.
-
-    The record is generic so further parameter sets could be added, but only
-    the HQC-128 values are constructed and tested.
-    """
+    """All HQC constants in one validated record; only the HQC-128 values
+    are constructed."""
 
     n: int                  # ring degree: R = F2[X]/(X^n - 1)
     n1: int                 # Reed-Solomon code length in GF(2^8) symbols

@@ -1,11 +1,12 @@
-"""SHAKE256-based randomness: an incremental XOF, rejection-based
-fixed-weight sampling, and the hash functions G, H, K.
+"""SHAKE256-based randomness: a one-shot XOF, rejection-based fixed-weight
+sampling, and the hash functions G, H, K.
 
 The sponge is hashlib's SHAKE256 and SHA3-512 (FIPS 202). The Keccak-f[1600]
-permutations it runs are counted from the absorb and squeeze cursors, since
-the cost model charges one hardware permutation each. The pure-Python sponge
-in tests/keccak_ref.py checks this module: the published permutation
-vectors, the stream for any seed and domain, and the permutation counts.
+permutations it runs are counted from the input length and the squeeze
+cursor, since the cost model charges one hardware permutation each. The
+pure-Python sponge in tests/keccak_ref.py checks this module: the published
+permutation vectors, the stream for any seed and domain, and the permutation
+counts.
 
 Every use-site of the XOF gets its own trailing domain byte, listed in the
 constants table below.
@@ -41,49 +42,36 @@ class SamplingError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Incremental SHAKE256 XOF
+# SHAKE256 XOF
 
 
 class Xof:
-    """Incremental SHAKE256 stream over (seed || domain byte).
+    """SHAKE256 stream over (seed || domain byte), squeezed in pieces.
 
-    Absorb, then squeeze; the first squeeze finalizes and further absorbing
-    raises. A sponge permutes once per full rate block absorbed and once per
-    rate block squeezed, begun blocks included (the first of these is the
-    finalizing permutation); the counts follow the two cursors.
+    The input is hashed once, at construction. A sponge permutes once per full
+    rate block of input and once per rate block squeezed, begun blocks
+    included (the first of these is the finalizing permutation); the counts
+    follow the input length and the squeeze cursor.
 
     hashlib has no squeeze cursor, so every digest(n) recomputes the stream
     from byte 0; refilling an internal buffer in exponentially growing chunks
     keeps the total work linear in the stream length.
     """
 
-    def __init__(self, seed: bytes = b"", domain: int | None = None):
-        self._h = hashlib.shake_256()
-        self._absorbed = 0
+    def __init__(self, seed: bytes, domain: int):
+        data = seed + bytes([domain])
+        counters.add("bytes_copied", len(data))
+        counters.add("keccak_permutations", len(data) // SHAKE256_RATE)
+        self._h = hashlib.shake_256(data)
         self._squeezed = 0
         self._tail = b""
         self._next_chunk = SHAKE256_RATE
-        self.finalized = False
-        if seed:
-            self.absorb(seed)
-        if domain is not None:
-            self.absorb(bytes([domain]))
-
-    def absorb(self, data: bytes) -> None:
-        if self.finalized:
-            raise RuntimeError("absorb after squeezing started")
-        counters.add("bytes_copied", len(data))
-        before = self._absorbed // SHAKE256_RATE
-        self._absorbed += len(data)
-        self._h.update(data)
-        counters.add("keccak_permutations", self._absorbed // SHAKE256_RATE - before)
 
     def squeeze(self, n: int) -> bytes:
         if n < 0:
             raise ValueError("negative squeeze length")
         if n == 0:
             return b""
-        self.finalized = True
         counters.add("bytes_copied", n)
         before = -(-self._squeezed // SHAKE256_RATE)
         if len(self._tail) < n:

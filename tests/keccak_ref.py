@@ -93,31 +93,23 @@ def keccak_f1600(state: KeccakState) -> KeccakState:
 class PureXof:
     """SHAKE256 over (seed || domain byte) on keccak_f1600, suffix 0x1F.
 
-    Same interface as `Xof`: absorb, then squeeze; the first squeeze pads
-    and finalizes.
+    Same interface as `Xof`: built from the seed and domain byte, then only
+    squeezed; the first squeeze pads and finalizes.
     """
 
-    def __init__(self, seed: bytes = b"", domain: int | None = None):
+    def __init__(self, seed: bytes, domain: int):
         self.state = KeccakState()
-        self.buffer = bytearray()
+        self.buffer = bytearray(seed + bytes([domain]))
         self.finalized = False
-        self.absorb(seed)
-        if domain is not None:
-            self.absorb(bytes([domain]))
+        while len(self.buffer) >= SHAKE256_RATE:
+            self._absorb_block(bytes(self.buffer[:SHAKE256_RATE]))
+            del self.buffer[:SHAKE256_RATE]
 
     def _absorb_block(self, block: bytes) -> None:
         lanes = self.state.lanes
         for i in range(SHAKE256_RATE // 8):
             lanes[i] ^= int.from_bytes(block[8 * i:8 * i + 8], "little")
         self.state = keccak_f1600(self.state)
-
-    def absorb(self, data: bytes) -> None:
-        if self.finalized:
-            raise RuntimeError("absorb after squeezing started")
-        self.buffer += data
-        while len(self.buffer) >= SHAKE256_RATE:
-            self._absorb_block(bytes(self.buffer[:SHAKE256_RATE]))
-            del self.buffer[:SHAKE256_RATE]
 
     def _finalize(self) -> None:
         block = bytearray(self.buffer) + bytearray(SHAKE256_RATE - len(self.buffer))

@@ -3,11 +3,14 @@ when a rename or a removed import would break it. perfbench/spans.py is
 imported read-only."""
 
 import importlib.util
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from hqc128 import codes
+from hqc128 import codes, costmodel
+from hqc128.counters import Counters
 from hqc128.params import hqc128
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -34,3 +37,14 @@ def test_rs_syndromes_takes_and_returns_arrays():
     assert isinstance(syn, np.ndarray)
     assert syn.shape == (2 * p.delta,)
     assert not syn.any()
+
+
+def test_profile_accepts_only_the_kem_parameter_set():
+    # perfbench/run.py passes hqc128() as profile's third argument
+    for phase in costmodel.PHASES:
+        passed = costmodel.profile(phase, bytes(40), hqc128())
+        default = costmodel.profile(phase, bytes(40))
+        assert ([getattr(passed, f.name) for f in fields(Counters)]
+                == [getattr(default, f.name) for f in fields(Counters)])
+    with pytest.raises(ValueError):
+        costmodel.profile("keygen", bytes(40), replace(hqc128(), w=65))

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from itertools import product
 from pathlib import Path
 
@@ -220,7 +221,7 @@ def test_full_config_improvement_over_both_baselines(profiles):
 
 
 def test_monotone_over_all_flag_combinations(profiles):
-    flags = ("dma", "r_unit", "sampling_unit", "rm_decoder", "gf_insn")
+    flags = [f.name for f in fields(cm.AcceleratorConfig)]
     for phase in cm.PHASES:
         totals = {}
         for bits in product((False, True), repeat=len(flags)):

@@ -63,3 +63,23 @@ def test_cost_categories_cover_every_unit_and_baseline_cell(capsys):
         assert cli.main(["costmodel", f"--{unit.replace('_', '-')}"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == f"configuration: {unit}"
+
+
+def test_parameter_set_is_bound_once():
+    # HQC-128 is the one parameter set: a module builds it at import, never per
+    # call, and the KEM takes no parameter-set argument
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bad += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call) and ast.unparse(node.func) == "hqc128"]
+            if path.stem == "kem":
+                args = fn.args
+                bad += [f"kem.py:{fn.lineno}: {fn.name}({a.arg})"
+                        for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]
+                        if a.annotation is not None and "ParamSet" in ast.unparse(a.annotation)]
+    assert bad == []
