@@ -12,7 +12,7 @@ import argparse
 from dataclasses import fields
 
 from hqc128 import costmodel as cm
-from hqc128.params import hqc128
+from hqc128 import kem
 
 
 def main() -> None:
@@ -23,7 +23,7 @@ def main() -> None:
         seed = bytes.fromhex(args.seed)
     except ValueError:
         seed = b""  # not hex: reported like a wrong length
-    if len(seed) != hqc128().seed_bytes:
+    if len(seed) != kem.P.seed_bytes:
         parser.error("seed must be 40 bytes of hex")
 
     profiles = {phase: cm.profile(phase, seed) for phase in cm.PHASES}

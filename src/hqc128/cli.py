@@ -12,6 +12,7 @@ import os
 import statistics
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import fields
 
 from . import costmodel, kem
@@ -50,9 +51,11 @@ def _write_file(path: str, data: bytes, hex_mode: bool) -> None:
         fh.write(data.hex().encode("ascii") + b"\n" if hex_mode else data)
 
 
-def _seed_or_entropy(hex_seed: str | None, what: str) -> bytes:
+def _seed_or_default(hex_seed: str | None, what: str,
+                     default: Callable[[int], bytes]) -> bytes:
+    """The parsed hex seed, or default(seed length) when none is given."""
     if hex_seed is None:
-        return os.urandom(kem.P.seed_bytes)
+        return default(kem.P.seed_bytes)
     return _parse_hex(hex_seed, kem.P.seed_bytes, what)
 
 
@@ -61,7 +64,7 @@ def _seed_or_entropy(hex_seed: str | None, what: str) -> bytes:
 
 
 def cmd_keygen(args) -> int:
-    seed = _seed_or_entropy(args.seed, "--seed")
+    seed = _seed_or_default(args.seed, "--seed", os.urandom)
     pk, sk = kem.keygen(seed)
     pk_bytes = kem.serialize_pk(pk)
     sk_bytes = kem.serialize_sk(sk)
@@ -73,7 +76,7 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_encaps(args) -> int:
-    coins = _seed_or_entropy(args.coins, "--coins")
+    coins = _seed_or_default(args.coins, "--coins", os.urandom)
     pk = kem.deserialize_pk(_read_file(args.pk, args.hex))
     ct, ss = kem.encaps(pk, coins)
     ct_bytes = kem.serialize_ct(ct)
@@ -201,14 +204,8 @@ def cmd_bench(args) -> int:
     return EXIT_VERIFY_FAIL if mismatches else EXIT_OK
 
 
-def _profile_seed(args) -> bytes:
-    if getattr(args, "seed", None) is None:
-        return bytes(kem.P.seed_bytes)
-    return _parse_hex(args.seed, kem.P.seed_bytes, "--seed")
-
-
 def cmd_profile(args) -> int:
-    seed = _profile_seed(args)
+    seed = _seed_or_default(args.seed, "--seed", bytes)
     phases = costmodel.PHASES if args.phase == "all" else (args.phase,)
     profiles = [costmodel.profile(ph, seed) for ph in phases]
     print(costmodel.render_profile_report(profiles))
@@ -216,7 +213,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_costmodel(args) -> int:
-    seed = _profile_seed(args)
+    seed = _seed_or_default(args.seed, "--seed", bytes)
     cfg = costmodel.AcceleratorConfig(**{
         u.name: args.all or getattr(args, u.name)
         for u in fields(costmodel.AcceleratorConfig)})

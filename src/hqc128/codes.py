@@ -27,6 +27,8 @@ unspecified and the KEM's re-encryption check is the failure detector.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import counters
@@ -131,8 +133,8 @@ class _Lanes:
 
 
 # ---------------------------------------------------------------------------
-# Precomputed public tables, one set per (n1, k, delta), built from the
-# powers of alpha
+# Precomputed public tables, built from the powers of alpha and cached per
+# parameter record
 
 
 class _RSTables:
@@ -192,16 +194,9 @@ class _RSTables:
                             + k * ((delta + 1) + (delta + 1) // 2 + delta + 12))
 
 
-_RS_CACHE: dict[tuple[int, int, int], _RSTables] = {}
-
-
+@functools.cache
 def _rs_tables(p: ParamSet) -> _RSTables:
-    key = (p.n1, p.k, p.delta)
-    tab = _RS_CACHE.get(key)
-    if tab is None:
-        tab = _RSTables(*key)
-        _RS_CACHE[key] = tab
-    return tab
+    return _RSTables(p.n1, p.k, p.delta)
 
 
 # Warm the HQC-128 tables at import so table construction never lands in a

@@ -316,7 +316,7 @@ def render_profile_report(profiles: list[CostProfile]) -> str:
         attributed = prof.attributed_cycles()
         total = sum(attributed.values())
         lines.append(f"  {prof.phase}: total {_fmt_k(total)}")
-        for cat_name in sorted(attributed, key=attributed.get, reverse=True):
+        for cat_name in prof.category_ranking():
             cycles = attributed[cat_name]
             share = 100.0 * cycles / total if total else 0.0
             lines.append(f"    {cat_name:<14} {_fmt_k(cycles):>10}  {share:5.1f}%")

@@ -38,7 +38,6 @@ from .sampling import (
     hash_h,
     hash_k,
     sample_fixed_weight,
-    sample_message,
     sample_uniform_dense,
 )
 
@@ -130,7 +129,7 @@ def pke_decrypt(sk: SecretKey, u: DensePoly, v: DensePoly) -> bytes:
 def encaps(pk: PublicKey, coins: bytes) -> tuple[Ciphertext, bytes]:
     """Encapsulate: returns (ciphertext, shared secret)."""
     _check_seed(coins)
-    m = sample_message(Xof(coins, DOMAIN_MESSAGE), P.k)
+    m = Xof(coins, DOMAIN_MESSAGE).squeeze(P.k)
     theta = hash_g(m, P.seed_bytes)
     u, v = pke_encrypt(pk, m, theta)
     d = hash_h(m)

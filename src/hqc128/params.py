@@ -20,14 +20,22 @@ class ParamSet:
     n: int                  # ring degree: R = F2[X]/(X^n - 1)
     n1: int                 # Reed-Solomon code length in GF(2^8) symbols
     k: int                  # Reed-Solomon dimension = message length in bytes
-    delta: int              # RS symbol-error correction capability
     rm_multiplicity: int    # duplicated RM(1,7) copies per symbol
-    n2: int                 # RM block length in bits = 128 * rm_multiplicity
     w: int                  # Hamming weight of the secret polynomials x, y
     w_r: int                # Hamming weight of r1, r2
     w_e: int                # Hamming weight of e
     seed_bytes: int
     ss_bytes: int           # shared-secret length in bytes
+
+    @property
+    def delta(self) -> int:
+        """RS symbol-error correction capability: n1 - k = 2 * delta."""
+        return (self.n1 - self.k) // 2
+
+    @property
+    def n2(self) -> int:
+        """RM block length in bits: 128 per RM(1,7) copy."""
+        return 128 * self.rm_multiplicity
 
     @property
     def words_n(self) -> int:
@@ -46,9 +54,7 @@ def hqc128() -> ParamSet:
         n=17669,
         n1=46,
         k=16,
-        delta=15,
         rm_multiplicity=3,
-        n2=384,
         w=66,
         w_r=75,
         w_e=75,
@@ -74,10 +80,8 @@ def validate(p: ParamSet) -> list[str]:
         problems.append(f"w_r <= {MAX_SECRET_WEIGHT}")
     if p.w_e > MAX_SECRET_WEIGHT:
         problems.append(f"w_e <= {MAX_SECRET_WEIGHT}")
-    if p.n2 != 128 * p.rm_multiplicity:
-        problems.append("n2 must equal 128 * rm_multiplicity")
-    if p.n1 - p.k != 2 * p.delta:
-        problems.append("n1 - k must equal 2*delta (RS redundancy)")
+    if (p.n1 - p.k) % 2:
+        problems.append("n1 - k must be even (RS redundancy 2*delta)")
     if p.n1 > 255:
         problems.append("n1 must not exceed the GF(2^8) code-length bound 255")
     if p.k > p.n1:

@@ -20,10 +20,6 @@ from dataclasses import dataclass
 from . import counters
 
 
-def _words_for(n: int) -> int:
-    return (n + 63) >> 6
-
-
 class DensePoly:
     """Ring element as an int; canonical when no bit at or above n is set."""
 
@@ -110,7 +106,7 @@ def mul_sparse_dense(s: SparsePoly, d: DensePoly) -> DensePoly:
     acc = 0
     for c in s.support:
         acc ^= dv << c
-    counters.add("ring_word_ops", 2 * (_words_for(n) + 1) * s.weight)
+    counters.add("ring_word_ops", 2 * (((n + 63) >> 6) + 1) * s.weight)
     return DensePoly(n, (acc & ((1 << n) - 1)) ^ (acc >> n))
 
 

@@ -54,8 +54,8 @@ class Xof:
     follow the input length and the squeeze cursor.
 
     hashlib has no squeeze cursor, so every digest(n) recomputes the stream
-    from byte 0; refilling an internal buffer in exponentially growing chunks
-    keeps the total work linear in the stream length.
+    from byte 0; a squeeze past the buffered stream re-digests at least twice
+    its length, which keeps the total work linear in the stream length.
     """
 
     def __init__(self, seed: bytes, domain: int):
@@ -63,27 +63,20 @@ class Xof:
         counters.add("bytes_copied", len(data))
         counters.add("keccak_permutations", len(data) // SHAKE256_RATE)
         self._h = hashlib.shake_256(data)
-        self._squeezed = 0
-        self._tail = b""
-        self._next_chunk = SHAKE256_RATE
+        self._stream = b""
+        self._pos = 0
 
     def squeeze(self, n: int) -> bytes:
         if n < 0:
             raise ValueError("negative squeeze length")
-        if n == 0:
-            return b""
+        start, end = self._pos, self._pos + n
+        if end > len(self._stream):
+            self._stream = self._h.digest(max(end, 2 * len(self._stream), SHAKE256_RATE))
+        self._pos = end
         counters.add("bytes_copied", n)
-        before = -(-self._squeezed // SHAKE256_RATE)
-        if len(self._tail) < n:
-            grow = max(n - len(self._tail), self._next_chunk)
-            self._next_chunk = min(2 * self._next_chunk, 1 << 22)
-            stream = self._h.digest(self._squeezed + len(self._tail) + grow)
-            self._tail = stream[self._squeezed:]
-        out = self._tail[:n]
-        self._tail = self._tail[n:]
-        self._squeezed += n
-        counters.add("keccak_permutations", -(-self._squeezed // SHAKE256_RATE) - before)
-        return out
+        before = -(-start // SHAKE256_RATE)
+        counters.add("keccak_permutations", -(-end // SHAKE256_RATE) - before)
+        return self._stream[start:end]
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +121,8 @@ def sample_fixed_weight(xof: Xof, weight: int, n: int) -> SparsePoly:
 
 def sample_uniform_dense(xof: Xof, n: int) -> DensePoly:
     """Uniform ring element: squeeze ceil(n/8) bytes, clear the pad bits."""
-    nbytes = (n + 7) >> 3
-    raw = bytearray(xof.squeeze(nbytes))
-    if n & 7:
-        raw[-1] &= (1 << (n & 7)) - 1
-    return DensePoly.from_bytes(n, bytes(raw))
-
-
-def sample_message(xof: Xof, k: int) -> bytes:
-    """k uniform message bytes."""
-    return xof.squeeze(k)
+    raw = xof.squeeze((n + 7) >> 3)
+    return DensePoly(n, int.from_bytes(raw, "little") & ((1 << n) - 1))
 
 
 # ---------------------------------------------------------------------------

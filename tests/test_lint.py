@@ -11,12 +11,13 @@ from hqc128.counters import Counters
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hqc128"
+SCRIPTS = ROOT / "scripts"
 
 
 def test_src_has_no_assert_statements():
     # `python -O` strips asserts, so a runtime check must raise instead
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in [*sorted(SRC.glob("*.py")), *sorted(SCRIPTS.glob("*.py"))]:
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
@@ -69,7 +70,7 @@ def test_parameter_set_is_bound_once():
     # HQC-128 is the one parameter set: a module builds it at import, never per
     # call, and the KEM takes no parameter-set argument
     bad = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in [*sorted(SRC.glob("*.py")), *sorted(SCRIPTS.glob("*.py"))]:
         tree = ast.parse(path.read_text(), filename=str(path))
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from hqc128.params import hqc128, validate
 
@@ -16,6 +16,7 @@ def test_hqc128_constants():
     assert p.w_e == 75
     assert p.seed_bytes == 40
     assert p.ss_bytes == 64
+    assert len(fields(p)) == 9      # n2 and delta are derived, not stored
 
 
 def test_code_fits_inside_ring():
@@ -49,10 +50,12 @@ def test_overweight_is_flagged():
 def test_word_counts_follow_n():
     p = replace(hqc128(), n=17729)
     assert p.words_n == 278
+    assert replace(hqc128(), rm_multiplicity=2).n2 == 256
+    assert replace(hqc128(), k=18).delta == 14
 
 
 def test_rs_redundancy_consistency():
-    violations = validate(replace(hqc128(), delta=14))
+    violations = validate(replace(hqc128(), k=17))
     assert any("2*delta" in v for v in violations)
 
 

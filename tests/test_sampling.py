@@ -15,7 +15,6 @@ from hqc128.sampling import (
     hash_h,
     hash_k,
     sample_fixed_weight,
-    sample_message,
     sample_uniform_dense,
 )
 from tests.keccak_ref import KeccakState, PureXof, keccak_f1600
@@ -92,13 +91,14 @@ def test_backends_agree():
 def test_backend_permutation_counts_agree():
     # the counts Xof derives from its input length and squeeze cursor against
     # the permutations the pure sponge runs; seeds of 0-600 bytes cross the
-    # 136-byte rate up to four times
+    # 136-byte rate up to four times, and every run has a zero-length squeeze
     from hqc128.counters import Counters, collecting
 
     rng = random.Random(102)
     edges = [0, 134, 135, 136, 271, 272]
     for seed_len in edges + [rng.randrange(0, 601) for _ in range(24)]:
-        squeeze_sizes = [rng.randrange(1, 400) for _ in range(rng.randrange(1, 5))]
+        squeeze_sizes = [rng.randrange(0, 400) for _ in range(rng.randrange(1, 5))]
+        squeeze_sizes.insert(rng.randrange(len(squeeze_sizes) + 1), 0)
         counts = []
         for sponge in (Xof, PureXof):
             c = Counters()
@@ -144,12 +144,15 @@ def test_squeeze_zero_is_noop():
 
 def test_long_stream_stress():
     x = Xof(b"u" * 40, 9)
+    pieces = []
     total = 0
     rng = random.Random(104)
     while total < 1_000_000:
         n = rng.randrange(1, 50_000)
-        assert len(x.squeeze(n)) == n
+        pieces.append(x.squeeze(n))
+        assert len(pieces[-1]) == n
         total += n
+    assert b"".join(pieces) == hashlib.shake_256(b"u" * 40 + b"\x09").digest(total)
 
 
 @settings(max_examples=100, deadline=None)
@@ -241,21 +244,10 @@ def test_sample_uniform_dense_is_canonical():
     p = hqc128()
     d = sample_uniform_dense(Xof(b"y" * 40, 2), p.n)
     assert d.is_canonical()
+    stream = hashlib.shake_256(b"y" * 40 + b"\x02").digest(p.n_bytes)
+    assert d.value == int.from_bytes(stream, "little") & ((1 << p.n) - 1)
     d2 = sample_uniform_dense(Xof(b"y" * 40, 2), p.n)
     assert d == d2
-
-
-def test_sample_message():
-    p = hqc128()
-    m1 = sample_message(Xof(b"z" * 40, 5), p.k)
-    assert len(m1) == p.k
-    assert m1 == sample_message(Xof(b"z" * 40, 5), p.k)
-    seen = set()
-    rng = random.Random(106)
-    for _ in range(1000):
-        m = sample_message(Xof(rng.randbytes(40), 5), p.k)
-        assert m not in seen
-        seen.add(m)
 
 
 # ---------------------------------------------------------------------------
