@@ -28,6 +28,7 @@ unspecified and the KEM's re-encryption check is the failure detector.
 from __future__ import annotations
 
 import functools
+import struct
 
 import numpy as np
 
@@ -74,6 +75,7 @@ class _Lanes:
         self.guard = g = 1 << (64 * (n + 2))
         self.low = _fill(n, 0x11111111)            # slots 0..7
         self.one = _fill(n, 1)
+        self._lanes = struct.Struct(f"<{n}Q")
         self._spread = [_fill(n, m) | g for m in (0x000F000F, 0x03030303, 0x11111111)]
         self._compact = [_fill(n, m) | g for m in (0x03030303, 0x000F000F, 0xFF)]
         self._square = [_fill(n, m) | g for m in (0x0000111100001111,
@@ -95,10 +97,9 @@ class _Lanes:
             x = (x | (x >> shift)) & mask
         return x.to_bytes(8 * (self.n + 3), "little")[:8 * self.n:8]
 
-    def scalars(self, x: int) -> list[int]:
+    def scalars(self, x: int) -> tuple[int, ...]:
         """The lanes of a reduced vector as Python ints, still spread."""
-        raw = x.to_bytes(8 * (self.n + 3), "little")
-        return memoryview(raw).cast("Q")[:self.n].tolist()
+        return self._lanes.unpack_from(x.to_bytes(8 * (self.n + 3), "little"))
 
     def reduce(self, x: int) -> int:
         """Slots 0..14 of each lane reduced mod 0x11D: two folds of slots
@@ -204,18 +205,17 @@ def _rs_tables(p: ParamSet) -> _RSTables:
 _rs_tables(hqc128())
 
 
-def _rm_rows() -> np.ndarray:
-    """(8, 2) uint64: 128-bit masks for the constant and the 7 coordinates."""
+def _rm_bits() -> np.ndarray:
+    """(8, 128) float32 generator bits: the constant, then the 7 coordinates."""
     j = np.arange(128)
-    rows = np.empty((8, 128), dtype=np.uint8)
+    rows = np.empty((8, 128), dtype=np.float32)
     rows[0] = 1
     for t in range(1, 8):
         rows[t] = (j >> (t - 1)) & 1
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return packed.view("<u8").astype(np.uint64)
+    return rows
 
 
-_RM_ROWS = _rm_rows()
+_RM_BITS = _rm_bits()
 
 
 def _sylvester() -> np.ndarray:
@@ -326,25 +326,24 @@ def rs_decode(received: bytes, p: ParamSet) -> bytes:
 # Reed-Muller layer
 
 
-def _rm_encode_batch(symbols: np.ndarray) -> np.ndarray:
-    """(B,) uint8 symbols -> (B, 2) uint64 single-copy codewords.
+def _rm_blocks(symbols: np.ndarray, p: ParamSet) -> bytes:
+    """(B,) uint8 symbols -> B duplicated RM(1,7) blocks, bit j of a block at
+    bit j % 8 of byte j // 8.
 
-    Branch-free: each of the 8 mask rows is selected by multiplying with the
-    corresponding symbol bit, never by indexing with symbol data.
+    One 0/1 product of the symbol bits with the generator bits, exact in
+    float32 (every sum is at most 8) and reduced mod 2; no symbol indexes
+    anything.
     """
-    out = np.zeros((len(symbols), 2), dtype=np.uint64)
-    for t in range(8):
-        bit = ((symbols >> t) & 1).astype(np.uint64)
-        out ^= _RM_ROWS[t][None, :] * bit[:, None]
-    return out
+    bits = np.unpackbits(symbols[:, None], axis=1, bitorder="little")
+    words = (bits.astype(np.float32) @ _RM_BITS).astype(np.uint8) & 1
+    return np.packbits(np.tile(words, p.rm_multiplicity), bitorder="little").tobytes()
 
 
 def rm_encode(symbol: int, p: ParamSet) -> bytes:
     """Duplicated RM(1,7) block: multiplicity copies of the 128-bit word."""
     if not 0 <= symbol <= 0xFF:
         raise ValueError("symbol must be one byte")
-    single = _rm_encode_batch(np.array([symbol], dtype=np.uint8))[0]
-    return single.astype("<u8").tobytes() * p.rm_multiplicity
+    return _rm_blocks(np.array([symbol], dtype=np.uint8), p)
 
 
 def _fold(bits: np.ndarray) -> np.ndarray:
@@ -410,14 +409,9 @@ def rm_decode(block: bytes, p: ParamSet) -> int:
 def code_encode(m: bytes, p: ParamSet) -> DensePoly:
     """mG: RS-encode, RM-encode each symbol, pack blocks into the low
     n1*n2 bits of a ring element."""
-    symbols = np.frombuffer(rs_encode(m, p), dtype=np.uint8)
-    single = _rm_encode_batch(symbols)                      # (n1, 2)
-    blocks = np.broadcast_to(
-        single[:, None, :], (p.n1, p.rm_multiplicity, 2)
-    ).reshape(-1)
-    value = int.from_bytes(blocks.astype("<u8").tobytes(), "little")
-    counters.add("bytes_copied", len(blocks) * 8)
-    return DensePoly(p.n, value)
+    blocks = _rm_blocks(np.frombuffer(rs_encode(m, p), dtype=np.uint8), p)
+    counters.add("bytes_copied", len(blocks))
+    return DensePoly(p.n, int.from_bytes(blocks, "little"))
 
 
 def code_decode(noisy: DensePoly, p: ParamSet) -> bytes:

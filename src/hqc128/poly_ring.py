@@ -80,10 +80,12 @@ class SparsePoly:
 
 
 def dense_from_sparse(s: SparsePoly) -> DensePoly:
-    value = 0
+    """Set the support bits in a ceil(n/8)-byte buffer, then read it as one
+    little-endian int."""
+    buf = bytearray((s.n + 7) >> 3)
     for c in s.support:
-        value |= 1 << c
-    return DensePoly(s.n, value)
+        buf[c >> 3] |= 1 << (c & 7)
+    return DensePoly(s.n, int.from_bytes(buf, "little"))
 
 
 def add(a: DensePoly, b: DensePoly) -> DensePoly:

@@ -15,6 +15,7 @@ constants table below.
 from __future__ import annotations
 
 import hashlib
+import struct
 
 from . import counters
 from .poly_ring import DensePoly, SparsePoly
@@ -86,35 +87,36 @@ class Xof:
 def sample_fixed_weight(xof: Xof, weight: int, n: int) -> SparsePoly:
     """Distinct coordinates below n by unbiased rejection sampling.
 
-    Draws 24-bit little-endian candidates; values at or above the largest
-    multiple of n below 2^24 are rejected (removing the modulo bias), then
-    duplicates are rejected until `weight` distinct coordinates are found.
-    The number of iterations is the documented data-dependent quantity of
-    this technique; the work per iteration is input-independent.
+    Candidates are 24-bit little-endian values read from chunks of
+    3 * max(weight, 1) squeezed bytes; each chunk is widened to 32-bit words
+    and decoded at once. Values at or above the largest multiple of n below
+    2^24 are rejected (removing the modulo bias), then duplicates are
+    rejected until `weight` distinct coordinates are found; the rest of the
+    last chunk is discarded. The number of draws is the documented
+    data-dependent quantity of this technique; the work per draw is
+    input-independent.
     """
     if weight > n:
         raise ValueError("weight exceeds modulus")
     threshold = ((1 << 24) // n) * n
-    chunk = 3 * max(weight, 1)
+    count = max(weight, 1)
+    decode = struct.Struct(f"<{count}I").unpack
+    wide = bytearray(4 * count)
     picked: set[int] = set()
-    buf = b""
-    pos = 0
     draws = 0
     while len(picked) < weight:
-        if pos + 3 > len(buf):
-            buf = xof.squeeze(chunk)
-            pos = 0
-        value = int.from_bytes(buf[pos:pos + 3], "little")
-        pos += 3
-        draws += 1
-        if draws > MAX_SAMPLE_DRAWS:
-            raise SamplingError("rejection sampling exceeded the draw cap")
-        if value >= threshold:
-            continue
-        coordinate = value % n
-        if coordinate in picked:
-            continue
-        picked.add(coordinate)
+        raw = xof.squeeze(3 * count)
+        wide[0::4] = raw[0::3]
+        wide[1::4] = raw[1::3]
+        wide[2::4] = raw[2::3]
+        for value in decode(wide):
+            draws += 1
+            if draws > MAX_SAMPLE_DRAWS:
+                raise SamplingError("rejection sampling exceeded the draw cap")
+            if value < threshold:
+                picked.add(value % n)
+                if len(picked) == weight:
+                    break
     counters.add("samples_drawn", draws)
     return SparsePoly(n, tuple(sorted(picked)))
 

@@ -329,6 +329,16 @@ def test_code_encode_confined_to_low_bits():
         assert weight(enc) <= P.n1 * P.n2
 
 
+def test_code_encode_matches_per_bit_oracle():
+    # mG block by block: the RS symbols, each RM-encoded bit by bit
+    rng = random.Random(212)
+    for _ in range(200):
+        m = rng.randbytes(P.k)
+        blocks = b"".join(rm_encode_oracle(sym, P.rm_multiplicity) for sym in rs_encode(m, P))
+        low = code_encode(m, P).value & ((1 << (P.n1 * P.n2)) - 1)
+        assert low == int.from_bytes(blocks, "little")
+
+
 def test_code_roundtrip():
     rng = random.Random(212)
     for _ in range(1000):

@@ -84,3 +84,26 @@ def test_parameter_set_is_bound_once():
                         for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]
                         if a.annotation is not None and "ParamSet" in ast.unparse(a.annotation)]
     assert bad == []
+
+
+def test_src_reads_binary_data_little_endian():
+    # memoryview.cast and a struct format without a byte-order prefix use the
+    # host's byte order, while every buffer here is written little-endian
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "struct":
+                bad.append(f"{path.name}:{node.lineno}: from struct import (call struct.<name>)")
+            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+                continue
+            where = f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            if node.func.attr == "cast":
+                bad.append(where)
+            elif ast.unparse(node.func.value) == "struct" and node.func.attr != "error":
+                fmt = node.args[0] if node.args else None
+                if isinstance(fmt, ast.JoinedStr):
+                    fmt = fmt.values[0] if fmt.values else None
+                if not (isinstance(fmt, ast.Constant) and str(fmt.value).startswith("<")):
+                    bad.append(where)
+    assert bad == []

@@ -84,6 +84,18 @@ def test_dense_from_sparse_weight_oracle():
         assert sum(bit(d, i) for i in range(n)) == s.weight
 
 
+def test_dense_from_sparse_value_oracle():
+    # the exact bits, so a slip in the bit order inside a byte shows
+    n = 17669
+    rng = random.Random(11)
+    supports = [(0,), (7,), (8,), (n - 1,), (0, 7, 8, n - 1)]
+    supports += [rand_sparse(n, 75, rng).support for _ in range(200)]
+    for support in supports:
+        d = dense_from_sparse(SparsePoly(n, support))
+        assert d.value == sum(1 << c for c in support)
+        assert d.is_canonical()
+
+
 # ---------------------------------------------------------------------------
 # add
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hqc128 import sampling
+from hqc128.counters import Counters, collecting
 from hqc128.params import hqc128
 from hqc128.sampling import (
     DOMAIN_ENCRYPT_NOISE,
@@ -18,6 +19,7 @@ from hqc128.sampling import (
     sample_uniform_dense,
 )
 from tests.keccak_ref import KeccakState, PureXof, keccak_f1600
+from tests.sampling_ref import sample_fixed_weight_per_draw
 
 # Keccak team known-answer vectors: the f[1600] permutation applied to the
 # all-zero state, once and twice (little-endian lane serialization).
@@ -226,6 +228,31 @@ def test_fixed_weight_draw_discipline_against_stream_oracle():
             if coordinate not in picked:
                 picked.append(coordinate)
         assert tuple(sorted(picked)) == sampled.support
+
+
+def test_fixed_weight_matches_per_draw_oracle():
+    # the chunk decoder against the per-draw loop on twin streams: the same
+    # support and draw count, the same counts, and the same bytes squeezed
+    # next, so the cursor stops where the per-draw loop stops
+    rng = random.Random(110)
+    cases = [(rng.randbytes(40), (w, w, w), 17669) for _ in range(300) for w in (66, 75)]
+    cases += [(rng.randbytes(40), (75, 1, 66), (1 << 23) + 1) for _ in range(20)]
+    cases += [(rng.randbytes(40), (w, w), n)
+              for n, w in ((1, 1), (2, 2), (3, 3), (10, 9), (10, 10), (64, 60))
+              for _ in range(10)]
+    cases += [(rng.randbytes(40), (0, 0, 5), 17669) for _ in range(5)]
+    for seed, weights, n in cases:
+        fast, ref = Xof(seed, DOMAIN_ENCRYPT_NOISE), Xof(seed, DOMAIN_ENCRYPT_NOISE)
+        for w in weights:
+            c_fast, c_ref = Counters(), Counters()
+            with collecting(c_fast):
+                support = sample_fixed_weight(fast, w, n).support
+            with collecting(c_ref):
+                ref_support, draws = sample_fixed_weight_per_draw(ref, w, n)
+            assert (support, c_fast.samples_drawn) == (ref_support, draws), (seed, w, n)
+            assert c_fast.keccak_permutations == c_ref.keccak_permutations
+            assert c_fast.bytes_copied == c_ref.bytes_copied
+        assert fast.squeeze(16) == ref.squeeze(16), (seed, weights, n)
 
 
 def test_fixed_weight_weight_cap():
