@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import counters
-from .codes import code_decode, code_encode
-from .params import hqc128
+from .codes import P, code_decode, code_encode
 from .poly_ring import DensePoly, SparsePoly, add, ct_equal, dense_from_sparse, mul_sparse_dense
 from .sampling import (
     DOMAIN_ENCRYPT_NOISE,
@@ -40,8 +39,6 @@ from .sampling import (
     sample_fixed_weight,
     sample_uniform_dense,
 )
-
-P = hqc128()
 
 PK_BYTES = P.seed_bytes + P.n_bytes
 SK_BYTES = P.seed_bytes + PK_BYTES
@@ -117,13 +114,13 @@ def pke_encrypt(pk: PublicKey, m: bytes, theta: bytes) -> tuple[DensePoly, Dense
     r1 = sample_fixed_weight(xof, P.w_r, P.n)
     r2 = sample_fixed_weight(xof, P.w_r, P.n)
     u = add(dense_from_sparse(r1), mul_sparse_dense(r2, pk.h))
-    v = add(add(code_encode(m, P), mul_sparse_dense(r2, pk.s)), dense_from_sparse(e))
+    v = add(add(code_encode(m), mul_sparse_dense(r2, pk.s)), dense_from_sparse(e))
     return u, v
 
 
 def pke_decrypt(sk: SecretKey, u: DensePoly, v: DensePoly) -> bytes:
     """C.Decode(v - u*y); wrong beyond the code capability, never raises."""
-    return code_decode(add(v, mul_sparse_dense(sk.y, u)), P)
+    return code_decode(add(v, mul_sparse_dense(sk.y, u)))
 
 
 def encaps(pk: PublicKey, coins: bytes) -> tuple[Ciphertext, bytes]:

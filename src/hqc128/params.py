@@ -1,8 +1,9 @@
 """HQC-128 parameter set.
 
 Every other module reads its constants from the record returned by
-:func:`hqc128`, which ``kem`` binds once as ``kem.P``; a corrected constant
-therefore touches exactly one place.
+:func:`hqc128`, which ``codes`` binds once as ``codes.P`` and ``kem``
+imports from there; a corrected constant therefore touches exactly one
+place.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hqc128 import codes, costmodel
+from hqc128 import codes, costmodel, kem
 from hqc128.counters import Counters
 from hqc128.params import hqc128
 
@@ -48,3 +48,28 @@ def test_profile_accepts_only_the_kem_parameter_set():
                 == [getattr(default, f.name) for f in fields(Counters)])
     with pytest.raises(ValueError):
         costmodel.profile("keygen", bytes(40), replace(hqc128(), w=65))
+
+
+# The four code functions perfbench/ calls as f(x, P), with their outputs
+# pinned: a codeword, its message decoded through three symbol errors, one
+# RM block, and the syndromes of a word that is not a codeword.
+MSG = bytes(range(16))
+CODEWORD = MSG + bytes.fromhex("10a684d3d3f5a80b27a16820111f7d305ae784e917a410ae1cec95591ba6")
+CORRUPTED = bytes(c ^ 0x5A if j in (0, 7, 40) else c for j, c in enumerate(CODEWORD))
+WORD = bytes(range(3, 49))
+BENCH_FACING = [
+    (codes.rs_encode, MSG, CODEWORD.hex()),
+    (codes.rs_decode, CORRUPTED, MSG.hex()),
+    (codes.rm_encode, 0xA5, "3333cccc3333cccccccc3333cccc3333" * 3),
+    (codes.rs_syndromes, np.frombuffer(WORD, dtype=np.uint8),
+     "82925da6992f35c66f4c55f248f69896e7acc0454bc37a94af91fb2d07bd"),
+]
+
+
+@pytest.mark.parametrize("fn, arg, expected", BENCH_FACING,
+                         ids=[fn.__name__ for fn, _, _ in BENCH_FACING])
+def test_code_functions_accept_only_the_kem_parameter_set(fn, arg, expected):
+    assert kem.P is codes.P
+    assert bytes(fn(arg, hqc128())).hex() == expected
+    with pytest.raises(ValueError):
+        fn(arg, replace(hqc128(), w=65))

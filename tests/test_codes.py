@@ -5,23 +5,21 @@ import pytest
 
 from hqc128 import counters
 from hqc128.codes import (
+    P,
+    _SYLVESTER,
+    _decode_blocks,
+    _fold,
+    _peaks,
     code_decode,
     code_encode,
-    hadamard,
-    peak_search,
-    rm_decode,
     rm_encode,
-    rm_fold,
     rs_decode,
     rs_encode,
     rs_syndromes,
 )
 from hqc128.gf256 import gf_pow_alpha
-from hqc128.params import hqc128
 from hqc128.poly_ring import weight
 from tests.gf_ref import gf_mul_table
-
-P = hqc128()
 
 
 def syndrome_oracle(cw: bytes) -> list[int]:
@@ -35,7 +33,7 @@ def syndrome_oracle(cw: bytes) -> list[int]:
     return out
 
 
-def hadamard_butterfly(v: np.ndarray) -> np.ndarray:
+def walsh_hadamard_butterfly(v: np.ndarray) -> np.ndarray:
     """Oracle: 7 butterfly stages (a, b) -> (a+b, a-b) in int32."""
     x = v.astype(np.int32).reshape(-1, 128).copy()
     h = 1
@@ -69,6 +67,13 @@ def flip_bits(block: bytes, positions) -> bytes:
     for pos in positions:
         out[pos >> 3] ^= 1 << (pos & 7)
     return bytes(out)
+
+
+def block_bits(blocks: bytes) -> np.ndarray:
+    """Concatenated RM blocks as the (B, multiplicity, 128) bits that
+    code_decode hands to _decode_blocks."""
+    bits = np.unpackbits(np.frombuffer(blocks, dtype=np.uint8), bitorder="little")
+    return bits.reshape(-1, P.rm_multiplicity, 128)
 
 
 # ---------------------------------------------------------------------------
@@ -209,86 +214,81 @@ def test_rm_per_copy_weight_spectrum():
 
 def test_rm_fold_examples():
     zeros = bytes(P.n2 // 8)
-    assert list(rm_fold(zeros, P)) == [3] * 128
+    assert list(_fold(block_bits(zeros))[0]) == [3] * 128
     ones = b"\xff" * (P.n2 // 8)
-    assert list(rm_fold(ones, P)) == [-3] * 128
+    assert list(_fold(block_bits(ones))[0]) == [-3] * 128
     one_flip = flip_bits(zeros, [5])  # first copy, position 5
-    folded = rm_fold(one_flip, P)
+    folded = _fold(block_bits(one_flip))[0]
     assert folded[5] == 1
     assert all(folded[i] == 3 for i in range(128) if i != 5)
 
 
 def test_hadamard_zero_and_delta():
-    zero = np.zeros(128, dtype=np.int32)
-    assert np.array_equal(hadamard(zero), zero)
-    delta = np.zeros(128, dtype=np.int32)
+    zero = np.zeros(128, dtype=np.float32)
+    assert np.array_equal(zero @ _SYLVESTER, zero)
+    delta = np.zeros(128, dtype=np.float32)
     delta[0] = 1
-    assert np.array_equal(hadamard(delta), np.ones(128, dtype=np.int32))
+    assert np.array_equal(delta @ _SYLVESTER, np.ones(128))
 
 
 def test_hadamard_involution_up_to_scale():
     rng = np.random.default_rng(207)
     for _ in range(1000):
-        v = rng.integers(-3, 4, size=128).astype(np.int32)
-        assert np.array_equal(hadamard(hadamard(v)), 128 * v)
+        v = rng.integers(-3, 4, size=128).astype(np.float32)
+        assert np.array_equal(v @ _SYLVESTER @ _SYLVESTER, 128 * v)
 
 
 def test_hadamard_is_linear():
     rng = np.random.default_rng(208)
     for _ in range(500):
-        v = rng.integers(-3, 4, size=128).astype(np.int32)
-        w = rng.integers(-3, 4, size=128).astype(np.int32)
-        assert np.array_equal(hadamard(v + w), hadamard(v) + hadamard(w))
+        v = rng.integers(-3, 4, size=128).astype(np.float32)
+        w = rng.integers(-3, 4, size=128).astype(np.float32)
+        assert np.array_equal((v + w) @ _SYLVESTER, v @ _SYLVESTER + w @ _SYLVESTER)
 
 
 def test_hadamard_matches_butterfly_oracle():
     rng = np.random.default_rng(218)
     for _ in range(500):
         v = rng.integers(-3, 4, size=128).astype(np.int32)
-        got = hadamard(v)
-        assert got.dtype == np.int32
-        assert np.array_equal(got, hadamard_butterfly(v))
+        got = v.astype(np.float32) @ _SYLVESTER
+        assert got.dtype == np.float32
+        assert np.array_equal(got, walsh_hadamard_butterfly(v))
     batch = rng.integers(-3, 4, size=(46, 128)).astype(np.int32)
-    assert np.array_equal(hadamard(batch), hadamard_butterfly(batch))
-
-
-def test_hadamard_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        hadamard(np.zeros(64, dtype=np.int32))
+    assert np.array_equal(batch.astype(np.float32) @ _SYLVESTER, walsh_hadamard_butterfly(batch))
 
 
 def test_peak_search_zero_codeword():
-    t = np.zeros(128, dtype=np.int32)
+    t = np.zeros(128, dtype=np.float32)
     t[0] = 384
-    assert peak_search(t) == 0x00
+    assert _peaks(t) == 0x00
 
 
 def test_peak_search_negative_peak_sets_constant_bit():
-    t = np.zeros(128, dtype=np.int32)
+    t = np.zeros(128, dtype=np.float32)
     t[0] = -384
-    assert peak_search(t) == 0x01
+    assert _peaks(t) == 0x01
 
 
 def test_peak_search_tie_break_lowest_index():
-    t = np.zeros(128, dtype=np.int32)
+    t = np.zeros(128, dtype=np.float32)
     t[3] = 5
     t[10] = -5
-    assert peak_search(t) == (3 << 1)
-    t2 = np.zeros(128, dtype=np.int32)
+    assert _peaks(t) == (3 << 1)
+    t2 = np.zeros(128, dtype=np.float32)
     t2[10] = -5
     t2[40] = 5
-    assert peak_search(t2) == (10 << 1) | 1
+    assert _peaks(t2) == (10 << 1) | 1
 
 
 def test_peak_search_closure_exhaustive():
     for sym in range(256):
-        t = hadamard(rm_fold(rm_encode(sym, P), P))
-        assert peak_search(t) == sym
+        t = _fold(block_bits(rm_encode(sym, P)))[0] @ _SYLVESTER
+        assert _peaks(t) == sym
 
 
 def test_rm_decode_clean_exhaustive():
-    for sym in range(256):
-        assert rm_decode(rm_encode(sym, P), P) == sym
+    blocks = b"".join(rm_encode(sym, P) for sym in range(256))
+    assert list(_decode_blocks(block_bits(blocks))) == list(range(256))
 
 
 def test_rm_decode_corrects_95_flips():
@@ -296,7 +296,7 @@ def test_rm_decode_corrects_95_flips():
     for _ in range(200):
         sym = rng.randrange(256)
         noisy = flip_bits(rm_encode(sym, P), rng.sample(range(P.n2), 95))
-        assert rm_decode(noisy, P) == sym
+        assert list(_decode_blocks(block_bits(noisy))) == [sym]
 
 
 def test_rm_decode_invariant_under_copy_permutation():
@@ -310,7 +310,8 @@ def test_rm_decode_invariant_under_copy_permutation():
         copies = [bytes(block[16 * i:16 * (i + 1)]) for i in range(3)]
         order = rng.sample(range(3), 3)
         permuted = b"".join(copies[i] for i in order)
-        assert rm_decode(bytes(block), P) == rm_decode(permuted, P)
+        decoded = _decode_blocks(block_bits(bytes(block) + permuted))
+        assert decoded[0] == decoded[1]
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +319,13 @@ def test_rm_decode_invariant_under_copy_permutation():
 
 
 def test_code_encode_zero():
-    assert weight(code_encode(bytes(P.k), P)) == 0
+    assert weight(code_encode(bytes(P.k))) == 0
 
 
 def test_code_encode_confined_to_low_bits():
     rng = random.Random(211)
     for _ in range(100):
-        enc = code_encode(rng.randbytes(P.k), P)
+        enc = code_encode(rng.randbytes(P.k))
         assert enc.value >> (P.n1 * P.n2) == 0
         assert weight(enc) <= P.n1 * P.n2
 
@@ -335,7 +336,7 @@ def test_code_encode_matches_per_bit_oracle():
     for _ in range(200):
         m = rng.randbytes(P.k)
         blocks = b"".join(rm_encode_oracle(sym, P.rm_multiplicity) for sym in rs_encode(m, P))
-        low = code_encode(m, P).value & ((1 << (P.n1 * P.n2)) - 1)
+        low = code_encode(m).value & ((1 << (P.n1 * P.n2)) - 1)
         assert low == int.from_bytes(blocks, "little")
 
 
@@ -343,16 +344,16 @@ def test_code_roundtrip():
     rng = random.Random(212)
     for _ in range(1000):
         msg = rng.randbytes(P.k)
-        assert code_decode(code_encode(msg, P), P) == msg
+        assert code_decode(code_encode(msg)) == msg
 
 
 def test_code_decode_ignores_high_bits():
     rng = random.Random(213)
     msg = rng.randbytes(P.k)
-    enc = code_encode(msg, P)
+    enc = code_encode(msg)
     for i in range(P.n1 * P.n2, P.n):
         enc.value |= 1 << i
-    assert code_decode(enc, P) == msg
+    assert code_decode(enc) == msg
 
 
 def test_code_corrects_combined_noise():
@@ -360,9 +361,9 @@ def test_code_corrects_combined_noise():
     rng = random.Random(214)
     for _ in range(500):
         msg = rng.randbytes(P.k)
-        enc = code_encode(msg, P)
+        enc = code_encode(msg)
         for block in rng.sample(range(P.n1), rng.randrange(1, P.delta + 1)):
             n_flips = rng.randrange(1, 96)
             for off in rng.sample(range(P.n2), n_flips):
                 enc.value ^= 1 << (block * P.n2 + off)
-        assert code_decode(enc, P) == msg
+        assert code_decode(enc) == msg

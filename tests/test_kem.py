@@ -70,7 +70,7 @@ def test_pke_decrypt_noiseless_channel():
 
     _, sk = make_keypair()
     m = RNG.randbytes(P.k)
-    assert kem.pke_decrypt(sk, DensePoly(P.n), code_encode(m, P)) == m
+    assert kem.pke_decrypt(sk, DensePoly(P.n), code_encode(m)) == m
 
 
 def test_encaps_decaps_contract():

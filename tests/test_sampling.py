@@ -201,35 +201,6 @@ def test_fixed_weight_rejection_threshold_is_unbiased():
     assert threshold + n > (1 << 24)
 
 
-def test_fixed_weight_draw_discipline_against_stream_oracle():
-    # replay the identical XOF stream and reconstruct the accept/reject
-    # decisions independently: every accepted raw draw must clear the
-    # rejection threshold, and the accepted set must match the sampler
-    n, w = 17669, 75
-    threshold = ((1 << 24) // n) * n
-    rng = random.Random(109)
-    for _ in range(50):
-        seed = rng.randbytes(40)
-        sampled = sample_fixed_weight(Xof(seed, DOMAIN_SECRET_SAMPLING), w, n)
-        stream = Xof(seed, DOMAIN_SECRET_SAMPLING)
-        picked: list[int] = []
-        buf = b""
-        pos = 0
-        while len(picked) < w:
-            if pos + 3 > len(buf):
-                buf = stream.squeeze(3 * w)
-                pos = 0
-            raw = int.from_bytes(buf[pos:pos + 3], "little")
-            pos += 3
-            if raw >= threshold:
-                continue
-            assert raw < threshold
-            coordinate = raw % n
-            if coordinate not in picked:
-                picked.append(coordinate)
-        assert tuple(sorted(picked)) == sampled.support
-
-
 def test_fixed_weight_matches_per_draw_oracle():
     # the chunk decoder against the per-draw loop on twin streams: the same
     # support and draw count, the same counts, and the same bytes squeezed
