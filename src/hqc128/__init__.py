@@ -17,7 +17,7 @@ from .kem import (
     serialize_pk,
     serialize_sk,
 )
-from .params import ParamSet, hqc128, validate
+from .params import ParamSet, hqc128
 
 __version__ = "0.1.0"
 
@@ -38,5 +38,4 @@ __all__ = [
     "serialize_ct",
     "serialize_pk",
     "serialize_sk",
-    "validate",
 ]

@@ -242,7 +242,6 @@ def unit_weights() -> dict[str, float]:
 @dataclass
 class PhaseEstimate:
     phase: str
-    config: AcceleratorConfig
     categories: dict[str, float]
     formula_sheet: list[str]
 
@@ -272,19 +271,12 @@ def estimate_cycles(cfg: AcceleratorConfig, prof: CostProfile) -> PhaseEstimate:
         cat[name] = sum(cycles for _, cycles in terms.values())
         sheet.append(f"{name} = {' + '.join(text for text, _ in terms.values())}"
                      + (f"; {row.unit}: {row.derivation}" if on else ""))
-    return PhaseEstimate(prof.phase, cfg, cat, sheet)
+    return PhaseEstimate(prof.phase, cat, sheet)
 
 
 def improvement(estimate: float, baseline: float) -> float:
     """Improvement percentage 100 * (1 - estimate/baseline), paper-style."""
     return 100.0 * (1.0 - estimate / baseline)
-
-
-def speedup_report(base: PhaseEstimate, accel: PhaseEstimate) -> float:
-    """Improvement of `accel` over `base`, which must be the same phase."""
-    if base.phase != accel.phase:
-        raise ValueError("estimates are for different phases")
-    return improvement(accel.total, base.total)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Multiplication is the branch-free carry-less multiply-add `clmul_fma`, the
 fused primitive of a combinational field unit, followed by reduction
 folding. The antilog table gives the powers of alpha for building public
-tables. tests/gf_ref.py turns the log/antilog tables into a lookup multiply,
-the oracle that checks `gf_mul` on all 65,536 operand pairs.
+tables. tests/gf_ref.py derives the log table from it and turns the two into
+a lookup multiply, the oracle that checks `gf_mul` on all 65,536 operand
+pairs.
 """
 
 from __future__ import annotations
@@ -61,24 +62,10 @@ def gf_inverse(a: int) -> int:
     return result
 
 
-def build_exp_log_tables() -> tuple[list[int], list[int]]:
-    """Antilog/log tables for alpha = 0x02: exp[i] = alpha^i, log[exp[i]] = i.
-
-    exp has 256 entries and wraps with period 255 (exp[255] = exp[0] = 1);
-    log[0] is unused and left at 0.
-    """
-    exp = [0] * 256
-    log = [0] * 256
-    x = 1
-    for i in range(FIELD_ORDER):
-        exp[i] = x
-        log[x] = i
-        x = gf_mul(x, GENERATOR)
-    exp[FIELD_ORDER] = exp[0]
-    return exp, log
-
-
-_EXP, _ = build_exp_log_tables()
+# Antilog table for alpha = 0x02: _EXP[i] = alpha^i, i in [0, 255).
+_EXP = [1]
+for _ in range(FIELD_ORDER - 1):
+    _EXP.append(gf_mul(_EXP[-1], GENERATOR))
 
 
 def gf_pow_alpha(e: int) -> int:

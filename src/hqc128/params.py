@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-MAX_SECRET_WEIGHT = 75
-
 
 @dataclass(frozen=True)
 class ParamSet:
-    """All HQC constants in one validated record; only the HQC-128 values
-    are constructed."""
+    """All HQC constants in one record; only the HQC-128 values are
+    constructed."""
 
     n: int                  # ring degree: R = F2[X]/(X^n - 1)
     n1: int                 # Reed-Solomon code length in GF(2^8) symbols
@@ -62,29 +60,3 @@ def hqc128() -> ParamSet:
         seed_bytes=40,
         ss_bytes=64,
     )
-
-
-def validate(p: ParamSet) -> list[str]:
-    """Return every violated invariant; an empty list means the set is sound.
-
-    Violations are data, not exceptions, so tests can construct broken
-    records and inspect exactly what failed.
-    """
-    problems = []
-    if p.n % 2 == 0:
-        problems.append("n must be odd")
-    if p.n1 * p.n2 > p.n:
-        problems.append("n1 * n2 must fit inside the ring (n1*n2 <= n)")
-    if p.w > MAX_SECRET_WEIGHT:
-        problems.append(f"w <= {MAX_SECRET_WEIGHT}")
-    if p.w_r > MAX_SECRET_WEIGHT:
-        problems.append(f"w_r <= {MAX_SECRET_WEIGHT}")
-    if p.w_e > MAX_SECRET_WEIGHT:
-        problems.append(f"w_e <= {MAX_SECRET_WEIGHT}")
-    if (p.n1 - p.k) % 2:
-        problems.append("n1 - k must be even (RS redundancy 2*delta)")
-    if p.n1 > 255:
-        problems.append("n1 must not exceed the GF(2^8) code-length bound 255")
-    if p.k > p.n1:
-        problems.append("k <= n1")
-    return problems

@@ -74,10 +74,6 @@ class SparsePoly:
         if prev >= self.n:
             raise ValueError("support coordinate out of range")
 
-    @property
-    def weight(self) -> int:
-        return len(self.support)
-
 
 def dense_from_sparse(s: SparsePoly) -> DensePoly:
     """Set the support bits in a ceil(n/8)-byte buffer, then read it as one
@@ -108,13 +104,8 @@ def mul_sparse_dense(s: SparsePoly, d: DensePoly) -> DensePoly:
     acc = 0
     for c in s.support:
         acc ^= dv << c
-    counters.add("ring_word_ops", 2 * (((n + 63) >> 6) + 1) * s.weight)
+    counters.add("ring_word_ops", 2 * (((n + 63) >> 6) + 1) * len(s.support))
     return DensePoly(n, (acc & ((1 << n) - 1)) ^ (acc >> n))
-
-
-def weight(d: DensePoly) -> int:
-    """Population count over all n bits."""
-    return d.value.bit_count()
 
 
 def ct_equal(a: bytes, b: bytes) -> bool:

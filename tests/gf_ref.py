@@ -4,13 +4,14 @@ It indexes tables by its operands, so it has no place on secret data; the
 tests compare it with the carry-less multiply over every operand pair.
 """
 
-from hqc128.gf256 import FIELD_ORDER, build_exp_log_tables
+from hqc128.gf256 import FIELD_ORDER, gf_pow_alpha
 
-_EXP, _LOG = build_exp_log_tables()
+EXP = [gf_pow_alpha(i) for i in range(FIELD_ORDER)]
+LOG = {x: i for i, x in enumerate(EXP)}
 
 
 def gf_mul_table(a: int, b: int) -> int:
     """Product via log/antilog lookup."""
     if a == 0 or b == 0:
         return 0
-    return _EXP[(_LOG[a] + _LOG[b]) % FIELD_ORDER]
+    return EXP[(LOG[a] + LOG[b]) % FIELD_ORDER]

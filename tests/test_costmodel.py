@@ -138,6 +138,11 @@ def test_profile_rejects_unknown_phase():
         cm.profile("sign", SEED)
 
 
+def test_estimate_cycles_rejects_unknown_phase():
+    with pytest.raises(ValueError):
+        cm.estimate_cycles(cm.AcceleratorConfig.none(), cm.CostProfile(phase="sign"))
+
+
 def test_observer_non_interference():
     for i in range(100):
         seed = i.to_bytes(4, "little") + bytes(36)
@@ -215,7 +220,7 @@ def test_full_config_improvement_over_both_baselines(profiles):
     for phase in cm.PHASES:
         base = cm.estimate_cycles(cm.AcceleratorConfig.none(), profiles[phase])
         accel = cm.estimate_cycles(cm.AcceleratorConfig.all(), profiles[phase])
-        assert cm.speedup_report(base, accel) >= 90.0
+        assert cm.improvement(accel.total, base.total) >= 90.0
         vs_dma_row = 100.0 * (1.0 - accel.total / cm.DMA_SW_OPT_ROW[phase])
         assert vs_dma_row >= 90.0
 
@@ -237,20 +242,11 @@ def test_monotone_over_all_flag_combinations(profiles):
 
 def test_speedup_report_examples(profiles):
     est = cm.estimate_cycles(cm.AcceleratorConfig.none(), profiles["keygen"])
-    assert cm.speedup_report(est, est) == 0.0
-    base = cm.PhaseEstimate("keygen", cm.AcceleratorConfig.none(),
-                            {"total": 5_609_000}, [])
-    accel = cm.PhaseEstimate("keygen", cm.AcceleratorConfig.all(),
-                             {"total": 56_000}, [])
-    assert round(cm.speedup_report(base, accel), 1) == 99.0
-    assert cm.speedup_report(accel, base) < 0
-
-
-def test_speedup_report_rejects_phase_mismatch(profiles):
-    a = cm.estimate_cycles(cm.AcceleratorConfig.none(), profiles["keygen"])
-    b = cm.estimate_cycles(cm.AcceleratorConfig.none(), profiles["encaps"])
-    with pytest.raises(ValueError):
-        cm.speedup_report(a, b)
+    assert cm.improvement(est.total, est.total) == 0.0
+    base = cm.PhaseEstimate("keygen", {"total": 5_609_000}, [])
+    accel = cm.PhaseEstimate("keygen", {"total": 56_000}, [])
+    assert round(cm.improvement(accel.total, base.total), 1) == 99.0
+    assert cm.improvement(base.total, accel.total) < 0
 
 
 def test_top3_categories_match_published_profile(profiles):

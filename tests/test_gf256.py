@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hqc128.codes import _Lanes
-from hqc128.gf256 import (
-    build_exp_log_tables,
-    clmul_fma,
-    gf_inverse,
-    gf_mul,
-    gf_mul_vec,
-)
-from tests.gf_ref import gf_mul_table
+from hqc128.gf256 import clmul_fma, gf_inverse, gf_mul, gf_mul_vec, gf_pow_alpha
+from tests.gf_ref import EXP, LOG, gf_mul_table
 
 
 def clmul_bitwise_oracle(a: int, b: int) -> int:
@@ -107,18 +101,16 @@ def test_gf_inverse_of_zero_raises():
 
 
 def test_exp_log_tables():
-    exp, log = build_exp_log_tables()
-    assert exp[0] == 0x01
-    assert exp[8] == 0x1D
-    assert exp[255] == 0x01
+    assert gf_pow_alpha(0) == 0x01
+    assert gf_pow_alpha(8) == 0x1D
+    assert gf_pow_alpha(255) == 0x01
     for i in range(255):
-        assert log[exp[i]] == i
+        assert LOG[EXP[i]] == i
 
 
 def test_alpha_is_primitive():
-    exp, _ = build_exp_log_tables()
     for i in range(1, 255):
-        assert exp[i] != 0x01
+        assert gf_pow_alpha(i) != 0x01
 
 
 def test_vectorized_mul_matches_scalar_exhaustive():

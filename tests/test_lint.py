@@ -112,3 +112,67 @@ def test_src_reads_binary_data_little_endian():
                 if not (isinstance(fmt, ast.Constant) and str(fmt.value).startswith("<")):
                     bad.append(where)
     assert bad == []
+
+
+def test_every_public_name_in_src_has_a_program_caller():
+    # a public top-level function, class or constant of src/ that only tests
+    # reach is dead code: the program is src/ (minus the re-exports of
+    # __init__), scripts/ and perfbench/. A use is a load of the name in its
+    # own module, a `from <module> import name`, or `<module alias>.name`;
+    # `hqc128.<name>` counts for whichever module defines the name
+    modules = {path.stem for path in SRC.glob("*.py")}
+    defined: dict[tuple[str, str], int] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update({(path.stem, name): node.lineno
+                            for name in names if not name.startswith("_")})
+
+    def module_of(node: ast.ImportFrom, in_src: bool) -> str | None:
+        # the hqc128 module an import reads from: "" is the package itself
+        if in_src and node.level == 1:
+            return node.module or ""
+        if node.level == 0 and node.module and node.module.split(".")[0] == "hqc128":
+            return node.module.partition(".")[2]
+        return None
+
+    used: set[tuple[str, str]] = set()
+
+    def use(module: str, name: str) -> None:
+        used.update({(m, name) for m, n in defined if n == name and module in ("", m)})
+
+    program = [*sorted(SRC.glob("*.py")), *sorted(SCRIPTS.glob("*.py")),
+               *sorted((ROOT / "perfbench").glob("*.py"))]
+    for path in program:
+        if path.name == "__init__.py":
+            continue
+        in_src = path.parent == SRC
+        tree = ast.parse(path.read_text())
+        aliases = {}    # local name -> hqc128 module ("" for the package)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                aliases.update({a.asname or a.name: a.name.partition(".")[2]
+                                for a in node.names if a.name.split(".")[0] == "hqc128"})
+            elif isinstance(node, ast.ImportFrom):
+                source = module_of(node, in_src)
+                if source is None:
+                    continue
+                for a in node.names:
+                    if source == "" and a.name in modules:
+                        aliases[a.asname or a.name] = a.name
+                    else:
+                        use(source, a.name)
+        for node in ast.walk(tree):
+            if in_src and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add((path.stem, node.id))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in aliases:
+                use(aliases[node.value.id], node.attr)
+    assert sorted(f"{m}.py:{line}: {n}" for (m, n), line in defined.items()
+                  if (m, n) not in used) == []

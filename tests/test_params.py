@@ -1,6 +1,6 @@
 from dataclasses import fields, replace
 
-from hqc128.params import hqc128, validate
+from hqc128.params import hqc128
 
 
 def test_hqc128_constants():
@@ -31,20 +31,12 @@ def test_word_counts():
     assert p.n_bytes == 2209
 
 
-def test_shipped_set_is_valid():
-    assert validate(hqc128()) == []
-
-
-def test_even_n_is_flagged():
-    violations = validate(replace(hqc128(), n=17664))
-    assert any("odd" in v for v in violations)
-
-
-def test_overweight_is_flagged():
-    violations = validate(replace(hqc128(), w=80))
-    assert any(v.startswith("w <=") for v in violations)
-    assert validate(replace(hqc128(), w_r=76))
-    assert validate(replace(hqc128(), w_e=76))
+def test_shipped_set_meets_the_code_invariants():
+    p = hqc128()
+    assert p.n % 2 == 1                 # X^n - 1 is square-free over F2
+    assert (p.n1 - p.k) % 2 == 0        # RS redundancy is 2 * delta
+    assert p.k <= p.n1 <= 255           # RS length within GF(2^8)'s bound
+    assert max(p.w, p.w_r, p.w_e) <= 75
 
 
 def test_word_counts_follow_n():
@@ -52,13 +44,3 @@ def test_word_counts_follow_n():
     assert p.words_n == 278
     assert replace(hqc128(), rm_multiplicity=2).n2 == 256
     assert replace(hqc128(), k=18).delta == 14
-
-
-def test_rs_redundancy_consistency():
-    violations = validate(replace(hqc128(), k=17))
-    assert any("2*delta" in v for v in violations)
-
-
-def test_validate_is_pure():
-    p = replace(hqc128(), n=17664, w=80)
-    assert validate(p) == validate(p)
