@@ -154,7 +154,7 @@ def cmd_kat_verify(args) -> int:
     for record in records:
         count = record.get("count", "?")
         try:
-            rec_seed = bytes.fromhex(record["seed"])
+            rec_seed = _parse_hex(record["seed"], kem.P.seed_bytes, "seed")
             expect = {name: bytes.fromhex(record[name]) for name in ("pk", "sk", "ct", "ss")}
         except (KeyError, ValueError) as exc:
             raise ValueError(f"record {count}: malformed: {exc}") from exc

@@ -182,6 +182,20 @@ def test_kat_verify_flags_tampered_record(tmp_path):
     assert res.stdout.count("PASS") == 2
 
 
+def test_kat_verify_names_the_record_with_a_wrong_seed_length(tmp_path):
+    kat = tmp_path / "kat.txt"
+    run_cli("kat", "--count", "2", "--seed", SEED_A, "--out", str(kat))
+    blocks = kat.read_text().split("\n\n")
+    lines = blocks[2].splitlines()   # blocks[0] is the header; record 1
+    lines[1] += "ab"                 # a 41-byte seed
+    blocks[2] = "\n".join(lines)
+    kat.write_text("\n\n".join(blocks))
+    res = run_cli("kat-verify", "--in", str(kat))
+    assert res.returncode == 2
+    assert "record 1: malformed: seed: expected 40 bytes, got 41" in res.stderr
+    assert res.stdout == "count 0: PASS\n"
+
+
 def test_kat_count_must_be_positive(tmp_path):
     res = run_cli("kat", "--count", "0", "--seed", SEED_A,
                   "--out", str(tmp_path / "k.txt"))

@@ -91,15 +91,36 @@ def test_parameter_set_is_bound_once():
     assert bad == []
 
 
+def _numpy_dtype_spells_byte_order(dtype: ast.expr | None) -> bool:
+    # a numpy read of a multi-byte dtype must say little-endian ('<u8'); a
+    # one-byte dtype has no byte order
+    if dtype is None:
+        return False
+    if isinstance(dtype, ast.Constant) and isinstance(dtype.value, str):
+        return dtype.value.startswith(("<", "|"))
+    return ast.unparse(dtype) in ("np.uint8", "np.int8", "np.bool_")
+
+
+def _call_arg(node: ast.Call, position: int, name: str) -> ast.expr | None:
+    for kw in node.keywords:
+        if kw.arg == name:
+            return kw.value
+    return node.args[position] if len(node.args) > position else None
+
+
 def test_src_reads_binary_data_little_endian():
-    # memoryview.cast and a struct format without a byte-order prefix use the
-    # host's byte order, while every buffer here is written little-endian
+    # memoryview.cast, a struct format without a byte-order prefix and a numpy
+    # buffer read of a multi-byte dtype without one (np.frombuffer,
+    # np.ndarray(..., buffer=...), .view) use the host's byte order, while
+    # every buffer here is written little-endian
     bad = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "struct":
                 bad.append(f"{path.name}:{node.lineno}: from struct import (call struct.<name>)")
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                bad.append(f"{path.name}:{node.lineno}: from numpy import (call np.<name>)")
             if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
                 continue
             where = f"{path.name}:{node.lineno}: {ast.unparse(node)}"
@@ -110,6 +131,13 @@ def test_src_reads_binary_data_little_endian():
                 if isinstance(fmt, ast.JoinedStr):
                     fmt = fmt.values[0] if fmt.values else None
                 if not (isinstance(fmt, ast.Constant) and str(fmt.value).startswith("<")):
+                    bad.append(where)
+            elif node.func.attr == "frombuffer" or (
+                    node.func.attr == "ndarray" and _call_arg(node, 2, "buffer") is not None):
+                if not _numpy_dtype_spells_byte_order(_call_arg(node, 1, "dtype")):
+                    bad.append(where)
+            elif node.func.attr == "view" and (node.args or node.keywords):
+                if not _numpy_dtype_spells_byte_order(_call_arg(node, 0, "dtype")):
                     bad.append(where)
     assert bad == []
 

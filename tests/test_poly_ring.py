@@ -13,6 +13,7 @@ from hqc128.poly_ring import (
     dense_from_sparse,
     mul_sparse_dense,
 )
+from tests.ring_ref import mul_shift_xor, unreduced_product
 
 
 def bit(d: DensePoly, i: int) -> int:
@@ -203,9 +204,7 @@ def test_reduce_matches_per_bit_oracle():
     for _ in range(1000):
         s = rand_sparse(n, rng.randrange(1, 20), rng)
         d = DensePoly(n, rng.getrandbits(n))
-        unreduced = 0
-        for c in s.support:
-            unreduced ^= d.value << c
+        unreduced = unreduced_product(s, d)
         assert unreduced.bit_length() <= 2 * n - 1
         assert mul_sparse_dense(s, d).value == fold_per_bit(unreduced, n)
 
@@ -215,10 +214,29 @@ def test_accumulator_degree_bound_after_mul():
     for n in (97, 257, 17669):
         s = rand_sparse(n, 8, rng)
         d = rand_dense(n, rng)
-        acc = 0
-        for c in s.support:
-            acc ^= d.value << c
-            assert acc.bit_length() <= 2 * n - 1
+        for k in range(1, len(s.support) + 1):
+            prefix = SparsePoly(n, s.support[:k])
+            assert unreduced_product(prefix, d).bit_length() <= 2 * n - 1
+
+
+@pytest.mark.parametrize("n", [7, 97, 257, 17669])
+def test_mul_matches_shift_xor_oracle(n):
+    rng = random.Random(n + 20)
+    for w in (0, 1, 66, 75):
+        w = min(w, n)
+        for _ in range(12):
+            support = set(rng.sample(range(n), w))
+            if w >= 2:
+                # both ends: the shortest (c = 0) and longest (c = n - 1) shift
+                support = set(sorted(support)[1:-1]) | {0, n - 1}
+            d = DensePoly(n, rng.getrandbits(n))
+            s = SparsePoly(n, tuple(sorted(support)))
+            assert mul_sparse_dense(s, d).value == mul_shift_xor(s, d)
+            # the same operand again, with another support: cached copies
+            s2 = rand_sparse(n, w, rng)
+            got = mul_sparse_dense(s2, d)
+            assert got.is_canonical()
+            assert got.value == mul_shift_xor(s2, d)
 
 
 # ---------------------------------------------------------------------------
