@@ -21,8 +21,9 @@ fixed schedule whatever the received word: syndromes, the inversion-free
 reformulated Berlekamp-Massey (riBM) of Sarwate and Shanbhag for exactly
 2*delta iterations with mask-selected updates, then Chien search and Forney
 magnitudes at the k message positions only, with a branch-free mask that
-keeps the corrections at roots. Beyond delta symbol errors its output is
-unspecified and the KEM's re-encryption check is the failure detector.
+keeps the corrections at roots; its inverses are a full-scan table select.
+Beyond delta symbol errors its output is unspecified and the KEM's
+re-encryption check is the failure detector.
 """
 
 from __future__ import annotations
@@ -80,9 +81,6 @@ class _Lanes:
         self._lanes = struct.Struct(f"<{n}Q")
         self._spread = [_fill(n, m) | g for m in (0x000F000F, 0x03030303, 0x11111111)]
         self._compact = [_fill(n, m) | g for m in (0x03030303, 0x000F000F, 0xFF)]
-        self._square = [_fill(n, m) | g for m in (0x0000111100001111,
-                                                   0x0011001100110011,
-                                                   0x0101010101010101)]
 
     def pack(self, values: bytes) -> int:
         """Byte ell into lane ell, then bit i of each byte to bit 4i."""
@@ -111,12 +109,6 @@ class _Lanes:
         x = (x & low) ^ (((x >> 32) & low) | g) * _SP
         return ((x ^ (((x >> 32) & low) | g) * _SP) & low) | g
 
-    def square(self, a: int) -> int:
-        """Lane-wise a^2: squaring is linear, bit i moves to bit 2i."""
-        for shift, mask in zip((16, 8, 4), self._square):
-            a = (a | (a << shift)) & mask
-        return self.reduce(a)
-
     def mul(self, a: int, b: int) -> int:
         """Lane-wise a*b: a * x^t kept in the lanes where bit t of b is set."""
         one, g = self.one, self.guard
@@ -125,14 +117,6 @@ class _Lanes:
             keep = (((b >> shift) & one) | g) * 0x0FFFFFFFFFFFFFFF
             acc ^= (a << shift) & keep
         return self.reduce(acc)
-
-    def inverse(self, a: int) -> int:
-        """Lane-wise a^254 (0 maps to 0): 7 squarings and 4 products."""
-        x = self.mul(self.square(a), a)                              # a^3
-        x = self.mul(self.square(x), a)                              # a^7
-        x = self.mul(self.square(self.square(self.square(x))), x)   # a^63
-        x = self.mul(self.square(x), a)                              # a^127
-        return self.square(x)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +174,9 @@ class _RSTables:
             chien.append(self.chien.pack(bytes(v)) & self.chien.low)
         self.chien_rows = chien
 
-        # gf_muls of one rs_decode call: syndromes, riBM, the three
-        # evaluations, then 11 products for each inverse and one for Y_j
+        # gf_muls of one rs_decode call as the cost model charges them: syndromes,
+        # riBM, the three evaluations, then 11 products for each inverse (the
+        # a^254 chain; here a table select) and one for Y_j
         self.decode_muls = (n1 * t + 2 * t * (3 * delta + 1)
                             + k * ((delta + 1) + (delta + 1) // 2 + delta + 12))
 
@@ -199,17 +184,22 @@ class _RSTables:
 _RS = _RSTables(P.n1, P.k, P.delta)
 
 
-def _rm_bits() -> np.ndarray:
-    """(8, 128) float32 generator bits: the constant, then the 7 coordinates."""
-    j = np.arange(128)
-    rows = np.empty((8, 128), dtype=np.float32)
-    rows[0] = 1
-    for t in range(1, 8):
-        rows[t] = (j >> (t - 1)) & 1
-    return rows
+# Field inverses alpha^i -> alpha^-i, 0 -> 0, and the bytes a lane is compared to
+_INV = np.zeros(256, dtype=np.float32)
+_INV[[gf_pow_alpha(i) for i in range(255)]] = [gf_pow_alpha(-i) for i in range(255)]
+_BYTES = np.arange(256, dtype=np.uint8)
 
 
-_RM_BITS = _rm_bits()
+def _rm_rows() -> np.ndarray:
+    """(8, 1, 6) '<u8' generator rows, the constant then the 7 coordinates,
+    each as multiplicity copies of its 128-bit word."""
+    bits = np.ones((8, 128), dtype=np.uint8)
+    bits[1:] = (np.arange(128) >> np.arange(7)[:, None]) & 1
+    words = np.packbits(np.tile(bits, P.rm_multiplicity), axis=1, bitorder="little")
+    return words.view("<u8").reshape(8, 1, -1)
+
+
+_RM_ROWS = _rm_rows()
 
 
 def _sylvester() -> np.ndarray:
@@ -292,13 +282,21 @@ def _ribm(syn: int) -> int:
     return d
 
 
+def _inverse(values: bytes) -> bytes:
+    """Field inverse of each byte, 0 -> 0, by a full-scan table select: each
+    byte's one-hot row against all 256 values times the inverse table, so
+    every byte reads every entry."""
+    a = np.frombuffer(values, dtype=np.uint8)
+    return ((a[:, None] == _BYTES).astype(np.float32) @ _INV).astype(np.uint8).tobytes()
+
+
 def rs_decode(received: bytes, p: ParamSet) -> bytes:
     """Correct up to delta symbol errors; more than delta is unspecified.
 
-    Every call runs the same schedule and counts the same field products:
-    n1 * 2 delta (syndromes) + 4 delta (3 delta + 1) (riBM) +
-    k * (2 delta + 13 + floor((delta + 1) / 2)) (Chien, Forney and the
-    lane-wise inverse), 4,956 for HQC-128.
+    Every call runs the same schedule and counts the field products the cost
+    model charges: n1 * 2 delta (syndromes) + 4 delta (3 delta + 1) (riBM) +
+    k * (2 delta + 13 + floor((delta + 1) / 2)) (Chien, Forney and the a^254
+    inverse chain, here a table select), 4,956 for HQC-128.
     """
     _hqc128_only(p)
     if len(received) != P.n1:
@@ -315,7 +313,8 @@ def rs_decode(received: bytes, p: ParamSet) -> bytes:
     width = 64 * P.k
     locator = (acc & msg.low) | msg.guard
     slope = ((acc >> width) & msg.low) | msg.guard
-    value = msg.mul(((acc >> 2 * width) & msg.low) | msg.guard, msg.inverse(slope))
+    value = msg.mul(((acc >> 2 * width) & msg.low) | msg.guard,
+                    msg.pack(_inverse(msg.unpack(slope))))
     nonzero = locator | (locator >> 16)
     nonzero |= nonzero >> 8
     nonzero |= nonzero >> 4
@@ -333,13 +332,11 @@ def _rm_blocks(symbols: np.ndarray) -> bytes:
     """(B,) uint8 symbols -> B duplicated RM(1,7) blocks, bit j of a block at
     bit j % 8 of byte j // 8.
 
-    One 0/1 product of the symbol bits with the generator bits, exact in
-    float32 (every sum is at most 8) and reduced mod 2; no symbol indexes
-    anything.
+    Each symbol's generator rows, copies included, are masked by its bits
+    and XOR-reduced; no symbol indexes anything.
     """
-    bits = np.unpackbits(symbols[:, None], axis=1, bitorder="little")
-    words = (bits.astype(np.float32) @ _RM_BITS).astype(np.uint8) & 1
-    return np.packbits(np.tile(words, P.rm_multiplicity), bitorder="little").tobytes()
+    bits = np.unpackbits(symbols[None, :], axis=0, bitorder="little")[:, :, None]
+    return np.bitwise_xor.reduce(_RM_ROWS * bits, axis=0).astype("<u8", copy=False).tobytes()
 
 
 def rm_encode(symbol: int, p: ParamSet) -> bytes:
@@ -353,16 +350,17 @@ def rm_encode(symbol: int, p: ParamSet) -> bytes:
 def _fold(bits: np.ndarray) -> np.ndarray:
     """(..., multiplicity, 128) bits -> (..., 128) float32 soft values:
     multiplicity - 2 * (set copies)."""
-    return bits.shape[-2] - 2 * bits.sum(axis=-2, dtype=np.float32)
+    set_copies = np.add.reduce(bits, axis=-2, dtype=np.int8)
+    return (bits.shape[-2] - 2 * set_copies).astype(np.float32)
 
 
 def _peaks(t: np.ndarray) -> np.ndarray:
     """Largest-magnitude index along the last axis, ties to the lowest: the
     index gives the seven coordinate coefficients, a negative peak sets the
-    constant bit."""
+    constant bit. The peak is read at its flat index, row * 128 + index."""
     idx = np.argmax(np.abs(t), axis=-1)
-    negative = np.take_along_axis(t, idx[..., None], axis=-1)[..., 0] < 0
-    return (idx << 1) | negative
+    rows = 128 * np.arange(idx.size).reshape(idx.shape)
+    return (idx << 1) | (t.reshape(-1)[idx + rows] < 0)
 
 
 def _decode_blocks(bits: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from hqc128.codes import (
     _decode_blocks,
     _fold,
     _peaks,
+    _rm_blocks,
     code_decode,
     code_encode,
     rm_encode,
@@ -18,6 +19,7 @@ from hqc128.codes import (
     rs_syndromes,
 )
 from hqc128.gf256 import gf_pow_alpha
+from tests.codes_ref import code_encode_ref, rm_blocks_float
 from tests.gf_ref import gf_mul_table
 
 
@@ -75,6 +77,17 @@ def block_bits(blocks: bytes) -> np.ndarray:
     return bits.reshape(-1, P.rm_multiplicity, 128)
 
 
+# every message with one bit set: the encoders are linear, so these fix them
+UNIT_MESSAGES = [bytes(m // 8) + bytes([1 << m % 8]) + bytes(P.k - 1 - m // 8)
+                 for m in range(8 * P.k)]
+
+
+def with_counters(f, *args):
+    with counters.collecting(counters.Counters()) as c:
+        out = f(*args)
+    return out, c
+
+
 # ---------------------------------------------------------------------------
 # Reed-Solomon
 
@@ -99,9 +112,10 @@ def test_rs_encode_rejects_bad_length():
 
 
 def test_rs_codeword_syndromes_vanish():
+    # with the message symbols fixed, vanishing syndromes fix the parity
     rng = random.Random(201)
-    for _ in range(1000):
-        cw = rs_encode(rng.randbytes(P.k), P)
+    for msg in UNIT_MESSAGES + [rng.randbytes(P.k) for _ in range(1000)]:
+        cw = rs_encode(msg, P)
         assert syndrome_oracle(cw) == [0] * (2 * P.delta)
 
 
@@ -279,6 +293,38 @@ def test_peak_search_tie_break_lowest_index():
     assert _peaks(t2) == (10 << 1) | 1
 
 
+def peak_oracle(row) -> int:
+    """Per-row scan: first index of largest magnitude, sign into bit 0."""
+    best = 0
+    for j in range(128):
+        if abs(row[j]) > abs(row[best]):
+            best = j
+    return (best << 1) | int(row[best] < 0)
+
+
+def test_peak_search_batches_match_per_row_oracle():
+    rng = np.random.default_rng(220)
+    for _ in range(50):
+        random_rows = rng.integers(-384, 385, size=(20, 128))
+        tied = rng.integers(-5, 6, size=(20, 128))
+        for row in tied:
+            ties = rng.choice(128, size=rng.integers(2, 6), replace=False)
+            row[ties] = rng.choice([-9, 9], size=len(ties))
+        negative = -rng.integers(1, 385, size=(20, 128))
+        # one peak index for every row, its sign alternating: a row read
+        # from its neighbour gets the wrong constant bit
+        same_index = rng.integers(-5, 6, size=(20, 128))
+        same_index[:, rng.integers(128)] = np.where(np.arange(20) % 2, -9, 9)
+        batch = np.concatenate([random_rows, tied, negative, same_index]).astype(np.float32)
+        batch = batch[rng.permutation(len(batch))]
+        got = _peaks(batch)
+        assert got.shape == (80,)
+        assert list(got) == [peak_oracle(row) for row in batch]
+        assert np.array_equal(_peaks(batch.reshape(4, 20, 128)), got.reshape(4, 20))
+    all_negative = -np.ones((7, 128), dtype=np.float32)
+    assert list(_peaks(all_negative)) == [1] * 7
+
+
 def test_peak_search_closure_exhaustive():
     for sym in range(256):
         t = _fold(block_bits(rm_encode(sym, P)))[0] @ _SYLVESTER
@@ -315,6 +361,19 @@ def test_rm_decode_invariant_under_copy_permutation():
 
 # ---------------------------------------------------------------------------
 # concatenated code
+
+
+def test_encoders_match_the_float_rm_oracle():
+    for sym in range(256):
+        assert (with_counters(rm_encode, sym, P)
+                == with_counters(rm_blocks_float, np.array([sym], dtype=np.uint8)))
+    every = np.arange(256, dtype=np.uint8)
+    assert _rm_blocks(every) == rm_blocks_float(every)
+    rng = random.Random(219)
+    for m in UNIT_MESSAGES + [rng.randbytes(P.k) for _ in range(2000)]:
+        enc, c = with_counters(code_encode, m)
+        ref, c_ref = with_counters(code_encode_ref, m)
+        assert (enc.value, c) == (ref.value, c_ref)
 
 
 def test_code_encode_zero():
