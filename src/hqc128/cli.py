@@ -1,17 +1,15 @@
 """Command-line front end: key lifecycle, KAT generation/verification,
-benchmarking, profiling, and accelerator cost-model reports.
+profiling, and accelerator cost-model reports.
 
-Exit codes: 0 success, 1 KAT verification failure or bench shared-secret
-mismatch, 2 usage/format error, 3 I/O error, 4 cryptographic rejection.
+Exit codes: 0 success, 1 KAT verification failure, 2 usage/format error,
+3 I/O error, 4 cryptographic rejection.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
-import time
 from collections.abc import Callable
 from dataclasses import fields
 
@@ -172,38 +170,6 @@ def cmd_kat_verify(args) -> int:
     return EXIT_VERIFY_FAIL if failures else EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    if args.iters <= 0:
-        raise ValueError("--iters must be positive")
-    times: dict[str, list[float]] = {ph: [] for ph in costmodel.PHASES}
-    chain = Xof(bytes(kem.P.seed_bytes), DOMAIN_KAT_CHAIN)
-    mismatches = 0
-    for _ in range(args.iters):
-        seed = chain.squeeze(kem.P.seed_bytes)
-        coins = Xof(seed, DOMAIN_COINS).squeeze(kem.P.seed_bytes)
-        t0 = time.perf_counter()
-        pk, sk = kem.keygen(seed)
-        t1 = time.perf_counter()
-        ct, ss = kem.encaps(pk, coins)
-        t2 = time.perf_counter()
-        mismatches += kem.decaps(sk, ct) != ss
-        t3 = time.perf_counter()
-        times["keygen"].append(t1 - t0)
-        times["encaps"].append(t2 - t1)
-        times["decaps"].append(t3 - t2)
-    print(f"{args.iters} iterations, {mismatches} shared-secret mismatches")
-    print(f"{'phase':<8}{'mean_ms':>10}{'median_ms':>12}{'min_ms':>10}")
-    for phase, samples in times.items():
-        mean = statistics.fmean(samples) * 1e3
-        median = statistics.median(samples) * 1e3
-        fastest = min(samples) * 1e3
-        print(f"{phase:<8}{mean:>10.3f}{median:>12.3f}{fastest:>10.3f}")
-        print(f"{phase}.mean_ms={mean:.6f}")
-        print(f"{phase}.median_ms={median:.6f}")
-        print(f"{phase}.min_ms={fastest:.6f}")
-    return EXIT_VERIFY_FAIL if mismatches else EXIT_OK
-
-
 def cmd_profile(args) -> int:
     seed = _seed_or_default(args.seed, "--seed", bytes)
     phases = costmodel.PHASES if args.phase == "all" else (args.phase,)
@@ -266,10 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     kvr = sub.add_parser("kat-verify", help="re-run and check a KAT file")
     kvr.add_argument("--in", required=True)
     kvr.set_defaults(func=cmd_kat_verify)
-
-    ben = sub.add_parser("bench", help="wall-time benchmark per phase")
-    ben.add_argument("--iters", type=int, default=20)
-    ben.set_defaults(func=cmd_bench)
 
     pro = sub.add_parser("profile", help="primitive-invocation profile")
     pro.add_argument("--phase", choices=(*costmodel.PHASES, "all"), default="all")

@@ -63,7 +63,6 @@ class PublicKey:
 @dataclass
 class SecretKey:
     seed_sk: bytes
-    x: SparsePoly
     y: SparsePoly
     pk: PublicKey       # needed for the re-encryption in decaps
 
@@ -101,7 +100,7 @@ def keygen(seed: bytes) -> tuple[PublicKey, SecretKey]:
     x, y = _expand_secrets(seed_sk)
     s = add(dense_from_sparse(x), mul_sparse_dense(y, h))
     pk = PublicKey(seed_h, s, h)
-    return pk, SecretKey(seed_sk, x, y, pk)
+    return pk, SecretKey(seed_sk, y, pk)
 
 
 def pke_encrypt(pk: PublicKey, m: bytes, theta: bytes) -> tuple[DensePoly, DensePoly]:
@@ -186,8 +185,8 @@ def deserialize_sk(data: bytes) -> SecretKey:
     seed_sk = data[:P.seed_bytes]
     pk = deserialize_pk(data[P.seed_bytes:])
     counters.add("bytes_copied", len(seed_sk))
-    x, y = _expand_secrets(seed_sk)
-    return SecretKey(seed_sk, x, y, pk)
+    _, y = _expand_secrets(seed_sk)   # decaps needs only y
+    return SecretKey(seed_sk, y, pk)
 
 
 def serialize_ct(ct: Ciphertext) -> bytes:

@@ -30,7 +30,7 @@ DOMAIN_SECRET_SAMPLING = 0x03  # seed_sk -> x, y
 DOMAIN_ENCRYPT_NOISE = 0x04    # theta -> e, r1, r2
 DOMAIN_MESSAGE = 0x05          # encaps coins -> m
 DOMAIN_KAT_CHAIN = 0x06        # KAT master seed -> per-record seeds
-DOMAIN_COINS = 0x07            # record seed -> encaps coins (KAT, profiling, bench)
+DOMAIN_COINS = 0x07            # record seed -> encaps coins (KAT, profiling)
 DOMAIN_HASH_G = 0x10           # SHA3-512 suffixes
 DOMAIN_HASH_H = 0x11
 DOMAIN_HASH_K = 0x12

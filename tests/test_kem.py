@@ -26,7 +26,7 @@ def test_keygen_deterministic():
 
 def test_keygen_secret_weights():
     _, sk = make_keypair()
-    assert len(sk.x.support) == P.w == 66
+    assert len(kem._expand_secrets(sk.seed_sk)[0].support) == P.w == 66
     assert len(sk.y.support) == P.w == 66
 
 
@@ -38,7 +38,8 @@ def test_keygen_seed_length_checked():
 def test_reconstruction_identity():
     for _ in range(100):
         pk, sk = make_keypair()
-        assert dense_from_sparse(sk.x) == add(pk.s, mul_sparse_dense(sk.y, pk.h))
+        x = kem._expand_secrets(sk.seed_sk)[0]
+        assert dense_from_sparse(x) == add(pk.s, mul_sparse_dense(sk.y, pk.h))
 
 
 def test_pke_encrypt_deterministic():
@@ -170,7 +171,7 @@ def test_serialization_roundtrips():
         pk2 = kem.deserialize_pk(kem.serialize_pk(pk))
         assert (pk2.seed_h, pk2.s, pk2.h) == (pk.seed_h, pk.s, pk.h)
         sk2 = kem.deserialize_sk(kem.serialize_sk(sk))
-        assert (sk2.seed_sk, sk2.x, sk2.y) == (sk.seed_sk, sk.x, sk.y)
+        assert (sk2.seed_sk, sk2.y) == (sk.seed_sk, sk.y)
         assert kem.serialize_pk(sk2.pk) == kem.serialize_pk(sk.pk)
         ct2 = kem.deserialize_ct(kem.serialize_ct(ct))
         assert (ct2.u, ct2.v, ct2.d) == (ct.u, ct.v, ct.d)
