@@ -2,7 +2,7 @@
 profiling, and accelerator cost-model reports.
 
 Exit codes: 0 success, 1 KAT verification failure, 2 usage/format error,
-3 I/O error, 4 cryptographic rejection.
+3 I/O error, 4 cryptographic rejection; 0, silently, if stdout's reader quits.
 """
 
 from __future__ import annotations
@@ -183,11 +183,8 @@ def cmd_costmodel(args) -> int:
     cfg = costmodel.AcceleratorConfig(**{
         u.name: args.all or getattr(args, u.name)
         for u in fields(costmodel.AcceleratorConfig)})
-    estimates = [
-        costmodel.estimate_cycles(cfg, costmodel.profile(ph, seed))
-        for ph in costmodel.PHASES
-    ]
-    print(costmodel.render_costmodel_report(cfg, estimates))
+    profiles = [costmodel.profile(ph, seed) for ph in costmodel.PHASES]
+    print(costmodel.render_costmodel_report(cfg, profiles))
     return EXIT_OK
 
 
@@ -250,7 +247,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except kem.FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -260,6 +259,10 @@ def main(argv: list[str] | None = None) -> int:
     except kem.DecapsulationFailure:
         print("decapsulation rejected the ciphertext", file=sys.stderr)
         return EXIT_REJECT
+    except BrokenPipeError:
+        # the reader of stdout stopped early; the exit-time flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -320,9 +320,10 @@ def render_profile_report(profiles: list[CostProfile]) -> str:
 
 
 def render_costmodel_report(cfg: AcceleratorConfig,
-                            estimates: list[PhaseEstimate]) -> str:
-    """Estimate table with improvement columns against both baselines,
-    formula sheet, and machine-readable lines."""
+                            profiles: list[CostProfile]) -> str:
+    """Estimate table for ``cfg`` against both baselines, the paper's ablation
+    (the same for every ``cfg``), formula sheet, and machine-readable lines."""
+    estimates = [estimate_cycles(cfg, prof) for prof in profiles]
     lines = []
     lines.append(f"configuration: {cfg.describe()}")
     header = (f"{'phase':<8}{'estimate':>12}{'reference':>12}{'impr.':>8}"
@@ -340,6 +341,18 @@ def render_costmodel_report(cfg: AcceleratorConfig,
     lines.append("")
     lines.append("improvement columns: vs software reference, and vs the"
                  " measured DMA+SW_OPT row (both interpretations reported).")
+    lines.append("")
+    lines.append("accelerator ablation (estimate, improvement vs software reference):")
+    header = f"{'configuration':<20}" + "".join(f"{p.phase:>16}" for p in profiles)
+    lines += [header, "-" * len(header)]
+    ablation = [("software baseline", AcceleratorConfig.none()),
+                *((f"+ {u.name.replace('_', '-')}", AcceleratorConfig(**{u.name: True}))
+                  for u in fields(AcceleratorConfig)),
+                ("all units", AcceleratorConfig.all())]
+    for label, unit_cfg in ablation:
+        totals = [(estimate_cycles(unit_cfg, p).total, SW_TOTAL[p.phase]) for p in profiles]
+        lines.append(f"{label:<20}" + "".join(f"{_fmt_k(t):>9} {improvement(t, ref):5.1f}%"
+                                              for t, ref in totals))
     lines.append("")
     lines.append("formula sheet:")
     for est in estimates:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 from . import counters
 from .codes import P, code_decode, code_encode
-from .poly_ring import DensePoly, SparsePoly, add, ct_equal, dense_from_sparse, mul_sparse_dense
+from .poly_ring import (DensePoly, FormatError, SparsePoly, add, ct_equal, dense_from_sparse,
+                        mul_sparse_dense)
 from .sampling import (
     DOMAIN_ENCRYPT_NOISE,
     DOMAIN_KEYGEN_EXPAND,
@@ -43,10 +44,6 @@ from .sampling import (
 PK_BYTES = P.seed_bytes + P.n_bytes
 SK_BYTES = P.seed_bytes + PK_BYTES
 CT_BYTES = 2 * P.n_bytes + 64
-
-
-class FormatError(ValueError):
-    """Malformed serialized object (bad length or nonzero padding bits)."""
 
 
 class DecapsulationFailure(Exception):
@@ -167,10 +164,7 @@ def deserialize_pk(data: bytes) -> PublicKey:
         raise FormatError(f"public key must be {PK_BYTES} bytes")
     counters.add("bytes_copied", len(data))
     seed_h = data[:P.seed_bytes]
-    try:
-        s = DensePoly.from_bytes(P.n, data[P.seed_bytes:])
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    s = DensePoly.from_bytes(P.n, data[P.seed_bytes:])
     return PublicKey(seed_h, s, _expand_h(seed_h))
 
 
@@ -200,9 +194,6 @@ def deserialize_ct(data: bytes) -> Ciphertext:
         raise FormatError(f"ciphertext must be {CT_BYTES} bytes")
     counters.add("bytes_copied", len(data))
     nb = P.n_bytes
-    try:
-        u = DensePoly.from_bytes(P.n, data[:nb])
-        v = DensePoly.from_bytes(P.n, data[nb:2 * nb])
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    u = DensePoly.from_bytes(P.n, data[:nb])
+    v = DensePoly.from_bytes(P.n, data[nb:2 * nb])
     return Ciphertext(u, v, data[2 * nb:])

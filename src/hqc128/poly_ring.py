@@ -24,6 +24,10 @@ import numpy as np
 from . import counters
 
 
+class FormatError(ValueError):
+    """Malformed serialized object (bad length or nonzero padding bits)."""
+
+
 class DensePoly:
     """Ring element as an int; canonical when no bit at or above n is set.
 
@@ -60,10 +64,10 @@ class DensePoly:
         """Inverse of to_bytes; rejects wrong length and nonzero pad bits."""
         nbytes = (n + 7) >> 3
         if len(data) != nbytes:
-            raise ValueError(f"expected {nbytes} bytes, got {len(data)}")
+            raise FormatError(f"expected {nbytes} bytes, got {len(data)}")
         poly = cls(n, int.from_bytes(data, "little"))
         if not poly.is_canonical():
-            raise ValueError("nonzero padding bits beyond degree n-1")
+            raise FormatError("nonzero padding bits beyond degree n-1")
         return poly
 
 

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import os
 import re
 import shlex
 import subprocess
@@ -243,6 +244,32 @@ def test_costmodel_no_flags_prints_baselines():
     assert "keygen.total=5609000" in res.stdout
     assert "encaps.total=13850000" in res.stdout
     assert "decaps.total=19903000" in res.stdout
+
+
+def test_costmodel_rejects_a_bad_seed_as_usage_error():
+    for seed in ("zz", "00"):
+        res = run_cli("costmodel", "--seed", seed)
+        assert res.returncode == 2, (seed, res.stderr)
+        assert res.stderr.startswith("error: --seed: ")
+        assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_0_quietly(unbuffered):
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails with EPIPE: in print when stdout is unbuffered, in the
+    # flush after the command when it is buffered
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run([sys.executable, "-m", "hqc128.cli", "costmodel", "--all"],
+                             stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (res.returncode, res.stderr) == (0, "")
 
 
 def test_costmodel_all_prints_improvements():

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from hqc128 import cli
 from hqc128 import costmodel as cm
 from hqc128 import kem
 from hqc128.params import hqc128
@@ -114,25 +113,6 @@ def test_importing_costmodel_runs_no_kem_operation():
     assert res.stdout.split(None, 1) == ["0", "['decaps', 'encaps', 'keygen']\n"]
 
 
-def test_reproduce_cost_tables_script_matches_cli(capsys):
-    res = run_python("scripts/reproduce_cost_tables.py")
-    assert res.returncode == 0, res.stderr
-    assert any(line.startswith("all units") for line in res.stdout.splitlines())
-    assert cli.main(["costmodel", "--all"]) == 0
-    expect = [line for line in capsys.readouterr().out.splitlines()
-              if line.startswith("keygen.total=")]
-    got = [line for line in res.stdout.splitlines() if line.startswith("keygen.total=")]
-    assert len(expect) == 1 and got == expect
-
-
-def test_reproduce_cost_tables_script_rejects_bad_seed_as_usage_error():
-    for seed in ("zz", "00"):
-        res = run_python("scripts/reproduce_cost_tables.py", "--seed", seed)
-        assert res.returncode == 2, (seed, res.stderr)
-        assert "seed must be 40 bytes of hex" in res.stderr
-        assert "Traceback" not in res.stderr
-
-
 def test_profile_rejects_unknown_phase():
     with pytest.raises(ValueError):
         cm.profile("sign", SEED)
@@ -181,6 +161,28 @@ def test_ablation_totals_pinned_at_zero_seed():
             cfg = cm.AcceleratorConfig(**{name: True})
         got = tuple(cm.estimate_cycles(cfg, profs[phase]).total for phase in cm.PHASES)
         assert got == expect, name
+
+
+def test_costmodel_report_prints_the_same_ablation_under_every_flag_set():
+    profs = [cm.profile(phase, bytes(P.seed_bytes)) for phase in cm.PHASES]
+    flags = [f.name for f in fields(cm.AcceleratorConfig)]
+    blocks = set()
+    for bits in product((False, True), repeat=len(flags)):
+        lines = cm.render_costmodel_report(
+            cm.AcceleratorConfig(**dict(zip(flags, bits))), profs).splitlines()
+        start = lines.index("accelerator ablation (estimate, improvement vs software reference):")
+        blocks.add(tuple(lines[start:lines.index("formula sheet:")]))
+    [block] = blocks
+    assert block[1].split() == ["configuration", *cm.PHASES] and block[-1] == ""
+    labels = {"none": "software baseline", "all": "all units"}
+    rows = block[3:-1]
+    assert len(rows) == len(ZERO_SEED_ABLATION_TOTALS)
+    for row, (name, totals) in zip(rows, ZERO_SEED_ABLATION_TOTALS.items()):
+        assert row[:20].rstrip() == labels.get(name, "+ " + name.replace("_", "-"))
+        assert row[20:].split() == [
+            cell for total, phase in zip(totals, cm.PHASES)
+            for cell in (f"{round(total / 1000)}k",
+                         f"{cm.improvement(total, cm.SW_TOTAL[phase]):.1f}%")], name
 
 
 def test_r_unit_single_multiplication_formula():
@@ -259,10 +261,7 @@ def test_reports_render(profiles):
     prof_report = cm.render_profile_report(list(profiles.values()))
     assert "keccak_permutations" in prof_report
     assert "keygen.shake=" in prof_report
-    estimates = [
-        cm.estimate_cycles(cm.AcceleratorConfig.none(), profiles[ph])
-        for ph in cm.PHASES
-    ]
-    cost_report = cm.render_costmodel_report(cm.AcceleratorConfig.none(), estimates)
+    cost_report = cm.render_costmodel_report(cm.AcceleratorConfig.none(),
+                                             list(profiles.values()))
     assert "keygen.total=5609000" in cost_report
     assert "formula sheet" in cost_report
