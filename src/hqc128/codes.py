@@ -1,5 +1,6 @@
 """The concatenated code: Reed-Solomon [n1, k, delta] over GF(2^8) outside,
-duplicated first-order Reed-Muller RM(1,7) inside.
+duplicated first-order Reed-Muller RM(1,7) inside, and the GF(2^8)
+arithmetic it runs.
 
 Conventions, fixed here and pinned by the exhaustive roundtrip tests:
 
@@ -33,10 +34,6 @@ import struct
 import numpy as np
 
 from . import counters
-# The traced benchmark (perfbench/spans.py) wraps gf_mul, gf_mul_vec and
-# gf_inverse where this module looks them up; the code layer itself no
-# longer calls them, so they are imported for that lookup only.
-from .gf256 import gf_inverse, gf_mul, gf_mul_vec, gf_pow_alpha  # noqa: F401
 from .params import ParamSet, hqc128
 from .poly_ring import DensePoly
 
@@ -109,18 +106,19 @@ class _Lanes:
         x = (x & low) ^ (((x >> 32) & low) | g) * _SP
         return ((x ^ (((x >> 32) & low) | g) * _SP) & low) | g
 
-    def mul(self, a: int, b: int) -> int:
-        """Lane-wise a*b: a * x^t kept in the lanes where bit t of b is set."""
-        one, g = self.one, self.guard
-        acc = 0
-        for shift in range(0, 32, 4):           # 4t
-            keep = (((b >> shift) & one) | g) * 0x0FFFFFFFFFFFFFFF
-            acc ^= (a << shift) & keep
-        return self.reduce(acc)
-
 
 # ---------------------------------------------------------------------------
 # Precomputed public tables, built once at import from the powers of alpha
+
+# _EXP[i] = alpha^i for alpha = x, i in [0, 255): doubling mod 0x11D
+_EXP = [1]
+for _ in range(254):
+    _EXP.append((_EXP[-1] << 1) ^ (0x11D if _EXP[-1] & 0x80 else 0))
+
+
+def gf_pow_alpha(e: int) -> int:
+    """alpha^e for a public exponent (table-building helper)."""
+    return _EXP[e % 255]
 
 
 class _RSTables:
@@ -221,6 +219,36 @@ _SYLVESTER = _sylvester()
 # because perfbench/ calls them as f(x, P); every size is read from P.
 
 
+# rs_* call these three through the module globals, where perfbench/spans.py wraps them
+def gf_mul_vec(rows: list[int], scalars: tuple[int, ...]) -> int:
+    """XOR sum of public packed rows times secret spread scalars, unreduced:
+    each scalar s multiplies as s + _NZ."""
+    acc = 0
+    for row, s in zip(rows, scalars):
+        acc ^= row * (s + _NZ)
+    return acc
+
+
+def gf_mul(a: int, b: int) -> int:
+    """Lane-wise a*b of two k-lane vectors: a * x^t kept in the lanes where
+    bit t of b is set, then reduced."""
+    msg = _RS.msg
+    one, g = msg.one, msg.guard
+    acc = 0
+    for shift in range(0, 32, 4):           # 4t
+        keep = (((b >> shift) & one) | g) * 0x0FFFFFFFFFFFFFFF
+        acc ^= (a << shift) & keep
+    return msg.reduce(acc)
+
+
+def gf_inverse(values: bytes) -> bytes:
+    """Field inverse of each byte, 0 -> 0, by a full-scan table select: each
+    byte's one-hot row against all 256 values times the inverse table, so
+    every byte reads every entry."""
+    a = np.frombuffer(values, dtype=np.uint8)
+    return ((a[:, None] == _BYTES).astype(np.float32) @ _INV).astype(np.uint8).tobytes()
+
+
 def _hqc128_only(p: object) -> None:
     if p != P:
         raise ValueError("the code supports the HQC-128 parameter set only")
@@ -232,19 +260,14 @@ def rs_encode(msg: bytes, p: ParamSet) -> bytes:
     _hqc128_only(p)
     if len(msg) != P.k:
         raise ValueError(f"message must be {P.k} bytes")
-    acc = 0
-    for row, m in zip(_RS.parity_rows, _RS.msg.scalars(_RS.msg.pack(msg))):
-        acc ^= row * (m + _NZ)
+    acc = gf_mul_vec(_RS.parity_rows, _RS.msg.scalars(_RS.msg.pack(msg)))
     counters.add("gf_muls", P.k * 2 * P.delta)
     return msg + _RS.syn.unpack(_RS.syn.reduce(acc))
 
 
 def _syndromes(received: bytes) -> int:
     """S_1 .. S_(2 delta) in lanes 0..2 delta - 1 of an riBM-sized vector."""
-    acc = 0
-    for row, c in zip(_RS.syn_rows, _RS.word.scalars(_RS.word.pack(received))):
-        acc ^= row * (c + _NZ)
-    return _RS.bm.reduce(acc)
+    return _RS.bm.reduce(gf_mul_vec(_RS.syn_rows, _RS.word.scalars(_RS.word.pack(received))))
 
 
 def rs_syndromes(cw: np.ndarray, p: ParamSet) -> np.ndarray:
@@ -282,14 +305,6 @@ def _ribm(syn: int) -> int:
     return d
 
 
-def _inverse(values: bytes) -> bytes:
-    """Field inverse of each byte, 0 -> 0, by a full-scan table select: each
-    byte's one-hot row against all 256 values times the inverse table, so
-    every byte reads every entry."""
-    a = np.frombuffer(values, dtype=np.uint8)
-    return ((a[:, None] == _BYTES).astype(np.float32) @ _INV).astype(np.uint8).tobytes()
-
-
 def rs_decode(received: bytes, p: ParamSet) -> bytes:
     """Correct up to delta symbol errors; more than delta is unspecified.
 
@@ -306,15 +321,12 @@ def rs_decode(received: bytes, p: ParamSet) -> bytes:
     # Y_j = X_j^(-2 delta) Omega(X_j^-1) / Lambda'(X_j^-1) wherever
     # Lambda(X_j^-1) = 0, for the message positions j < k
     msg = _RS.msg
-    acc = 0
-    for row, s in zip(_RS.chien_rows, _RS.bm.scalars(d)):
-        acc ^= row * (s + _NZ)
-    acc = _RS.chien.reduce(acc)
+    acc = _RS.chien.reduce(gf_mul_vec(_RS.chien_rows, _RS.bm.scalars(d)))
     width = 64 * P.k
     locator = (acc & msg.low) | msg.guard
     slope = ((acc >> width) & msg.low) | msg.guard
-    value = msg.mul(((acc >> 2 * width) & msg.low) | msg.guard,
-                    msg.pack(_inverse(msg.unpack(slope))))
+    value = gf_mul(((acc >> 2 * width) & msg.low) | msg.guard,
+                   msg.pack(gf_inverse(msg.unpack(slope))))
     nonzero = locator | (locator >> 16)
     nonzero |= nonzero >> 8
     nonzero |= nonzero >> 4

@@ -1,12 +1,19 @@
-"""Log/antilog table multiply in GF(2^8): the oracle for `gf256.gf_mul`.
+"""Log/antilog table multiply in GF(2^8) = F2[x]/(x^8 + x^4 + x^3 + x^2 + 1):
+the oracle for the field operations in `codes`.
 
-It indexes tables by its operands, so it has no place on secret data; the
-tests compare it with the carry-less multiply over every operand pair.
+The tables are built here, by doubling mod 0x11D, so nothing in them comes
+from the package. The multiply indexes tables by its operands, so it has no
+place on secret data; the tests compare it with the packed-lane arithmetic
+over every operand pair.
 """
 
-from hqc128.gf256 import FIELD_ORDER, gf_pow_alpha
+FIELD_POLY = 0x11D
+FIELD_ORDER = 255
 
-EXP = [gf_pow_alpha(i) for i in range(FIELD_ORDER)]
+EXP = [1]
+for _ in range(FIELD_ORDER - 1):
+    _x = EXP[-1] << 1
+    EXP.append(_x ^ FIELD_POLY if _x & 0x100 else _x)
 LOG = {x: i for i, x in enumerate(EXP)}
 
 

@@ -30,6 +30,24 @@ def test_every_traced_name_is_looked_up_where_it_is_wrapped():
     assert missing == []
 
 
+def test_every_traced_name_is_called_by_one_exchange_over_the_wire():
+    # a wrapped name that the program no longer calls yields a metric that
+    # reads 0 on working code
+    spans = load_spans()
+    with spans.Tracer() as tracer:
+        pk, sk = kem.keygen(bytes(40))
+        sk = kem.deserialize_sk(kem.serialize_sk(sk))
+        pk = kem.deserialize_pk(kem.serialize_pk(pk))
+        ct, ss = kem.encaps(pk, bytes(range(40)))
+        wire = kem.serialize_ct(ct)
+        assert kem.decaps(sk, kem.deserialize_ct(wire)) == ss
+        tampered = wire[:-1] + bytes([wire[-1] ^ 1])
+        with pytest.raises(kem.DecapsulationFailure):
+            kem.decaps(sk, kem.deserialize_ct(tampered))
+    called = {span[spans.NAME] for span in tracer.spans}
+    assert [name for _, _, name in spans.TRACED if name not in called] == []
+
+
 def test_rs_syndromes_takes_and_returns_arrays():
     p = hqc128()
     word = np.frombuffer(codes.rs_encode(bytes(range(p.k)), p), dtype=np.uint8)

@@ -1,134 +1,107 @@
+"""The GF(2^8) operations the RS layer runs, on packed vectors, against the
+log/antilog oracle in tests/gf_ref.py."""
+
 import random
 
-import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
-from hqc128.codes import _inverse
-from hqc128.gf256 import clmul_fma, gf_inverse, gf_mul, gf_mul_vec, gf_pow_alpha
+from hqc128 import codes
 from tests.gf_ref import EXP, LOG, gf_mul_table
 
-
-def clmul_bitwise_oracle(a: int, b: int) -> int:
-    """Independent per-bit carry-less multiply-add."""
-    a_hi, a_lo = a >> 8, a & 0xFF
-    prod = 0
-    for i in range(8):
-        for j in range(8):
-            prod ^= (((a_hi >> i) & 1) & ((b >> j) & 1)) << (i + j)
-    return prod ^ a_lo
+MSG = codes._RS.msg       # gf_mul works at the k-lane message width
+K = MSG.n
+ALL = bytes(range(256))
+CHUNKS = [ALL[i:i + K] for i in range(0, 256, K)]
+# every byte as a spread scalar, the form gf_mul_vec takes
+SPREAD = [s for chunk in CHUNKS for s in MSG.scalars(MSG.pack(chunk))]
 
 
-def test_clmul_multiply_by_one():
-    assert clmul_fma(0x0100, 0x35) == 0x0035
+def mul(a: bytes, b: bytes) -> bytes:
+    """Lane-wise a*b of two k-byte vectors through codes.gf_mul."""
+    return MSG.unpack(codes.gf_mul(MSG.pack(a), MSG.pack(b)))
 
 
-def test_clmul_zero_high_byte_passes_addend():
-    assert clmul_fma(0x005A, 0xFF) == 0x005A
-
-
-def test_clmul_x_plus_one_squared():
-    # (x+1)^2 = x^2 + 1
-    assert clmul_fma(0x0300, 0x03) == 0x0005
-
-
-def test_clmul_matches_bitwise_oracle():
-    rng = random.Random(0x11D)
-    for _ in range(10_000):
-        a = rng.randrange(1 << 16)
-        b = rng.randrange(1 << 8)
-        assert clmul_fma(a, b) == clmul_bitwise_oracle(a, b)
-
-
-def test_clmul_result_degree_bound():
-    rng = random.Random(1)
-    for _ in range(1000):
-        assert clmul_fma(rng.randrange(1 << 16), rng.randrange(1 << 8)) < (1 << 15)
-
-
-def test_clmul_distributes_over_xor_in_b():
-    rng = random.Random(2)
-    for _ in range(10_000):
-        a = rng.randrange(1 << 8) << 8  # a_lo = 0
-        b1 = rng.randrange(1 << 8)
-        b2 = rng.randrange(1 << 8)
-        assert clmul_fma(a, b1 ^ b2) == clmul_fma(a, b1) ^ clmul_fma(a, b2)
-
-
-def test_clmul_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        clmul_fma(1 << 16, 0)
-    with pytest.raises(ValueError):
-        clmul_fma(0, 256)
+def mul_vec(rows: list[bytes], scalars: bytes) -> bytes:
+    """sum_i rows[i] * scalars[i] through codes.gf_mul_vec, reduced."""
+    packed = [MSG.pack(r) & MSG.low for r in rows]
+    return MSG.unpack(MSG.reduce(codes.gf_mul_vec(packed, [SPREAD[s] for s in scalars])))
 
 
 def test_gf_mul_identities():
-    for a in range(256):
-        assert gf_mul(a, 0x01) == a
-        assert gf_mul(0x00, a) == 0
+    for a in CHUNKS:
+        assert mul(a, bytes([1]) * K) == a
+        assert mul(bytes(K), a) == bytes(K)
 
 
 def test_gf_mul_known_value():
-    assert gf_mul(0x02, 0x80) == 0x1D
+    assert mul(bytes([0x02]) * K, bytes([0x80]) * K) == bytes([0x1D]) * K
+    assert mul_vec([bytes([0x02]) * K], b"\x80") == bytes([0x1D]) * K
 
 
 def test_gf_mul_matches_table_backend_exhaustive():
     for a in range(256):
-        for b in range(256):
-            assert gf_mul(a, b) == gf_mul_table(a, b)
+        for b in CHUNKS:
+            assert mul(bytes([a]) * K, b) == bytes(gf_mul_table(a, y) for y in b)
 
 
 def test_gf_mul_commutative_and_associative():
     rng = random.Random(3)
-    for _ in range(10_000):
-        a, b, c = (rng.randrange(256) for _ in range(3))
-        assert gf_mul(a, b) == gf_mul(b, a)
-        assert gf_mul(gf_mul(a, b), c) == gf_mul(a, gf_mul(b, c))
+    for _ in range(1000):
+        a, b, c = (rng.randbytes(K) for _ in range(3))
+        assert mul(a, b) == mul(b, a)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
 
 def test_gf_inverse_of_one():
-    assert gf_inverse(0x01) == 0x01
+    assert codes.gf_inverse(b"\x01") == b"\x01"
 
 
 def test_gf_inverse_exhaustive():
-    for a in range(1, 256):
-        assert gf_mul(a, gf_inverse(a)) == 0x01
-
-
-def test_gf_inverse_of_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        gf_inverse(0x00)
+    for a in CHUNKS:
+        a = a.replace(b"\x00", b"\x01")
+        assert mul(a, codes.gf_inverse(a)) == bytes([1]) * K
 
 
 def test_exp_log_tables():
-    assert gf_pow_alpha(0) == 0x01
-    assert gf_pow_alpha(8) == 0x1D
-    assert gf_pow_alpha(255) == 0x01
+    assert codes.gf_pow_alpha(0) == 0x01
+    assert codes.gf_pow_alpha(8) == 0x1D
+    assert codes.gf_pow_alpha(255) == 0x01
     for i in range(255):
         assert LOG[EXP[i]] == i
 
 
+def test_gf_pow_alpha_matches_independent_table():
+    assert [codes.gf_pow_alpha(i) for i in range(-255, 510)] == EXP * 3
+
+
 def test_alpha_is_primitive():
+    # alpha has order 255: its powers below 255 are all different and not 1
+    assert sorted(EXP) == list(range(1, 256))
     for i in range(1, 255):
-        assert gf_pow_alpha(i) != 0x01
+        assert codes.gf_pow_alpha(i) != 0x01
 
 
 def test_vectorized_mul_matches_scalar_exhaustive():
-    a = np.arange(256, dtype=np.uint8)
-    got = gf_mul_vec(a[:, None], a[None, :])
-    for x in range(256):
-        for y in range(256):
-            assert got[x, y] == gf_mul_table(x, y)
+    for s in range(256):
+        for a in CHUNKS:
+            assert mul_vec([a], bytes([s])) == bytes(gf_mul_table(x, s) for x in a)
 
 
 def test_vectorized_inverse():
     # the full-scan table inverse the RS decoder runs, over all 256 bytes at once
-    inv = _inverse(bytes(range(256)))
+    inv = codes.gf_inverse(ALL)
     assert inv[0] == 0
     for a in range(1, 256):
-        assert gf_mul(a, inv[a]) == 1
+        assert gf_mul_table(a, inv[a]) == 1
 
 
-@given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
-def test_gf_mul_distributes_over_xor(a, b, c):
-    assert gf_mul(a, b ^ c) == gf_mul(a, b) ^ gf_mul(a, c)
+vectors = st.binary(min_size=K, max_size=K)
+
+
+@given(vectors, vectors, vectors, st.integers(0, 255), st.integers(0, 255))
+def test_gf_mul_distributes_over_xor(a, b, c, s, t):
+    assert mul(a, bytes(x ^ y for x, y in zip(b, c))) == bytes(
+        x ^ y for x, y in zip(mul(a, b), mul(a, c)))
+    # gf_mul_vec is the XOR sum of its row products
+    assert mul_vec([a, b], bytes([s, t])) == bytes(
+        x ^ y for x, y in zip(mul(a, bytes([s]) * K), mul(b, bytes([t]) * K)))
