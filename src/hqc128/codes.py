@@ -35,7 +35,6 @@ import numpy as np
 
 from . import counters
 from .params import ParamSet, hqc128
-from .poly_ring import DensePoly
 
 # HQC-128, the one parameter set, built once; kem imports it from here.
 P = hqc128()
@@ -340,15 +339,15 @@ def rs_decode(received: bytes, p: ParamSet) -> bytes:
 # Reed-Muller layer
 
 
-def _rm_blocks(symbols: np.ndarray) -> bytes:
-    """(B,) uint8 symbols -> B duplicated RM(1,7) blocks, bit j of a block at
-    bit j % 8 of byte j // 8.
+def _rm_blocks(symbols: np.ndarray) -> np.ndarray:
+    """(B,) uint8 symbols -> (B, n2 / 64) '<u8' words of B duplicated RM(1,7)
+    blocks, bit j of a block at bit j % 64 of word j // 64.
 
     Each symbol's generator rows, copies included, are masked by its bits
     and XOR-reduced; no symbol indexes anything.
     """
     bits = np.unpackbits(symbols[None, :], axis=0, bitorder="little")[:, :, None]
-    return np.bitwise_xor.reduce(_RM_ROWS * bits, axis=0).astype("<u8", copy=False).tobytes()
+    return np.bitwise_xor.reduce(_RM_ROWS * bits, axis=0).astype("<u8", copy=False)
 
 
 def rm_encode(symbol: int, p: ParamSet) -> bytes:
@@ -356,7 +355,7 @@ def rm_encode(symbol: int, p: ParamSet) -> bytes:
     _hqc128_only(p)
     if not 0 <= symbol <= 0xFF:
         raise ValueError("symbol must be one byte")
-    return _rm_blocks(np.array([symbol], dtype=np.uint8))
+    return _rm_blocks(np.array([symbol], dtype=np.uint8)).tobytes()
 
 
 def _fold(bits: np.ndarray) -> np.ndarray:
@@ -386,23 +385,23 @@ def _decode_blocks(bits: np.ndarray) -> np.ndarray:
 # Concatenated code
 
 
-def code_encode(m: bytes) -> DensePoly:
-    """mG: RS-encode, RM-encode each symbol, pack blocks into the low
-    n1*n2 bits of a ring element."""
-    blocks = _rm_blocks(np.frombuffer(rs_encode(m, P), dtype=np.uint8))
-    counters.add("bytes_copied", len(blocks))
-    return DensePoly(P.n, int.from_bytes(blocks, "little"))
+def code_encode(m: bytes) -> np.ndarray:
+    """mG as n1*n2/64 '<u8' words: RS-encode, RM-encode each symbol, blocks
+    in order; the caller XORs them into the low words of a ring result."""
+    words = _rm_blocks(np.frombuffer(rs_encode(m, P), dtype=np.uint8)).reshape(-1)
+    counters.add("bytes_copied", words.nbytes)
+    return words
 
 
-def code_decode(noisy: DensePoly) -> bytes:
-    """Slice bits [0, n1*n2) into blocks, ML-decode each, RS-decode.
+def code_decode(noisy: np.ndarray) -> bytes:
+    """Read the first n1*n2/8 bytes of the '<u8' words `noisy`, ML-decode
+    each block, RS-decode.
 
     Bits at positions >= n1*n2 are ignored. Uncorrectable noise yields a
     wrong message silently.
     """
-    nbytes = P.n1 * P.n2 // 8
-    raw = (noisy.value & ((1 << 8 * nbytes) - 1)).to_bytes(nbytes, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    raw = noisy.view(np.uint8)[:P.n1 * P.n2 // 8]
+    bits = np.unpackbits(raw, bitorder="little")
     symbols = _decode_blocks(bits.reshape(P.n1, P.rm_multiplicity, 128))
     # through the module global, where the traced benchmark wraps it
     return rs_decode(symbols.astype(np.uint8).tobytes(), P)

@@ -14,18 +14,23 @@ Wire formats (normative, byte-exact):
     sk = seed_sk (40) || pk (2249)               -> SK_BYTES = 2289
     ct = u (2209) || v (2209) || d (64)          -> CT_BYTES = 4482
 Ring elements serialize bit i into bit (i mod 8) of byte (i div 8); the
-padding bits must be zero and are checked on deserialization. Each
-serialize_* / deserialize_* adds its wire length to `bytes_copied` once; the
-secret key adds its seed to what the embedded public key counts.
+padding bits must be zero and are checked on deserialization. A ring element
+is held as those bytes. Each ring result is built as one '<u8' accumulator,
+the product's words with the other addends XORed in, and converted to bytes
+once; no ring element becomes a Python int. Each serialize_* /
+deserialize_* adds its wire length to `bytes_copied` once; the secret key
+adds its seed to what the embedded public key counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import counters
 from .codes import P, code_decode, code_encode
-from .poly_ring import (DensePoly, FormatError, SparsePoly, add, ct_equal, dense_from_sparse,
+from .poly_ring import (DensePoly, FormatError, SparsePoly, ct_equal, dense_from_sparse,
                         mul_sparse_dense)
 from .sampling import (
     DOMAIN_ENCRYPT_NOISE,
@@ -71,6 +76,11 @@ class Ciphertext:
     d: bytes
 
 
+def _element(acc: np.ndarray) -> DensePoly:
+    """The ring element whose ceil(n/64) '<u8' words `acc` holds."""
+    return DensePoly(P.n, acc.tobytes()[:P.n_bytes])
+
+
 def _check_seed(seed: bytes) -> None:
     if len(seed) != P.seed_bytes:
         raise ValueError(f"seed must be {P.seed_bytes} bytes")
@@ -95,8 +105,9 @@ def keygen(seed: bytes) -> tuple[PublicKey, SecretKey]:
     seed_sk = expander.squeeze(P.seed_bytes)
     h = _expand_h(seed_h)
     x, y = _expand_secrets(seed_sk)
-    s = add(dense_from_sparse(x), mul_sparse_dense(y, h))
-    pk = PublicKey(seed_h, s, h)
+    s = mul_sparse_dense(y, h)
+    s ^= dense_from_sparse(x)
+    pk = PublicKey(seed_h, _element(s), h)
     return pk, SecretKey(seed_sk, y, pk)
 
 
@@ -109,14 +120,20 @@ def pke_encrypt(pk: PublicKey, m: bytes, theta: bytes) -> tuple[DensePoly, Dense
     e = sample_fixed_weight(xof, P.w_e, P.n)
     r1 = sample_fixed_weight(xof, P.w_r, P.n)
     r2 = sample_fixed_weight(xof, P.w_r, P.n)
-    u = add(dense_from_sparse(r1), mul_sparse_dense(r2, pk.h))
-    v = add(add(code_encode(m), mul_sparse_dense(r2, pk.s)), dense_from_sparse(e))
-    return u, v
+    u = mul_sparse_dense(r2, pk.h)
+    u ^= dense_from_sparse(r1)
+    v = mul_sparse_dense(r2, pk.s)
+    mg = code_encode(m)
+    v[:mg.size] ^= mg
+    v ^= dense_from_sparse(e)
+    return _element(u), _element(v)
 
 
 def pke_decrypt(sk: SecretKey, u: DensePoly, v: DensePoly) -> bytes:
     """C.Decode(v - u*y); wrong beyond the code capability, never raises."""
-    return code_decode(add(v, mul_sparse_dense(sk.y, u)))
+    noisy = mul_sparse_dense(sk.y, u)
+    noisy.view(np.uint8)[:P.n_bytes] ^= np.frombuffer(v.data, dtype=np.uint8)
+    return code_decode(noisy)
 
 
 def encaps(pk: PublicKey, coins: bytes) -> tuple[Ciphertext, bytes]:
@@ -134,19 +151,20 @@ def decaps(sk: SecretKey, ct: Ciphertext) -> bytes:
     """Decapsulate; raises DecapsulationFailure on any mismatch.
 
     The three comparisons (u, v, d) all run to completion over the full
-    serialized length before the verdict is combined.
+    serialized length before the verdict is combined; they compare the held
+    wire bytes.
     """
     m2 = pke_decrypt(sk, ct.u, ct.v)
     theta2 = hash_g(m2, P.seed_bytes)
     u2, v2 = pke_encrypt(sk.pk, m2, theta2)
     d2 = hash_h(m2)
-    c_bytes = ct.u.to_bytes() + ct.v.to_bytes()
-    ok_u = ct_equal(c_bytes[:P.n_bytes], u2.to_bytes())
-    ok_v = ct_equal(c_bytes[P.n_bytes:], v2.to_bytes())
+    u_bytes, v_bytes = ct.u.to_bytes(), ct.v.to_bytes()
+    ok_u = ct_equal(u_bytes, u2.to_bytes())
+    ok_v = ct_equal(v_bytes, v2.to_bytes())
     ok_d = ct_equal(ct.d, d2)
     if not (ok_u & ok_v & ok_d):
         raise DecapsulationFailure("re-encryption check failed")
-    return hash_k(m2, c_bytes, P.ss_bytes)
+    return hash_k(m2, u_bytes + v_bytes, P.ss_bytes)
 
 
 # ---------------------------------------------------------------------------

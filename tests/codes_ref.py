@@ -13,7 +13,6 @@ import numpy as np
 
 from hqc128 import counters
 from hqc128.codes import P, rs_encode
-from hqc128.poly_ring import DensePoly
 
 
 def _rm_generator_bits() -> np.ndarray:
@@ -36,8 +35,8 @@ def rm_blocks_float(symbols: np.ndarray) -> bytes:
     return np.packbits(np.tile(words, P.rm_multiplicity), bitorder="little").tobytes()
 
 
-def code_encode_ref(m: bytes) -> DensePoly:
+def code_encode_ref(m: bytes) -> np.ndarray:
     """mG with the float32 RM encoder, counted as `codes.code_encode` counts."""
     blocks = rm_blocks_float(np.frombuffer(rs_encode(m, P), dtype=np.uint8))
     counters.add("bytes_copied", len(blocks))
-    return DensePoly(P.n, int.from_bytes(blocks, "little"))
+    return np.frombuffer(blocks, dtype="<u8")

@@ -5,8 +5,11 @@ import pytest
 from hqc128 import kem
 from hqc128.counters import Counters, collecting
 from hqc128.params import hqc128
-from hqc128.poly_ring import DensePoly, add, dense_from_sparse, mul_sparse_dense
-from hqc128.sampling import hash_k
+from hqc128.poly_ring import dense_from_sparse, mul_sparse_dense
+from hqc128.sampling import DOMAIN_ENCRYPT_NOISE, Xof, hash_k, sample_fixed_weight
+from tests.codes_ref import code_encode_ref
+from tests.ring_ref import add, as_int, dense, mul_shift_xor
+from tests.ring_ref import dense_from_sparse as dense_ref
 
 P = hqc128()
 RNG = random.Random(300)
@@ -39,7 +42,8 @@ def test_reconstruction_identity():
     for _ in range(100):
         pk, sk = make_keypair()
         x = kem._expand_secrets(sk.seed_sk)[0]
-        assert dense_from_sparse(x) == add(pk.s, mul_sparse_dense(sk.y, pk.h))
+        assert as_int(dense_from_sparse(x)) == as_int(
+            add(pk.s, dense(P.n, as_int(mul_sparse_dense(sk.y, pk.h)))))
 
 
 def test_pke_encrypt_deterministic():
@@ -55,7 +59,7 @@ def test_pke_encrypt_nonzero_u():
     pk, _ = make_keypair()
     for _ in range(1000):
         u, _ = kem.pke_encrypt(pk, RNG.randbytes(P.k), RNG.randbytes(P.seed_bytes))
-        assert u.value.bit_count() > 0
+        assert as_int(u).bit_count() > 0
 
 
 def test_pke_roundtrip():
@@ -71,7 +75,7 @@ def test_pke_decrypt_noiseless_channel():
 
     _, sk = make_keypair()
     m = RNG.randbytes(P.k)
-    assert kem.pke_decrypt(sk, DensePoly(P.n), code_encode(m)) == m
+    assert kem.pke_decrypt(sk, dense(P.n), dense(P.n, as_int(code_encode(m)))) == m
 
 
 def test_encaps_decaps_contract():
@@ -145,7 +149,7 @@ def test_decaps_runs_all_three_comparisons(monkeypatch):
     # compared before the verdict
     pk, sk = make_keypair(bytes(40))
     ct, _ = kem.encaps(pk, bytes(range(40)))
-    ct.u = DensePoly(ct.u.n, ct.u.value ^ 1)
+    ct.u = dense(ct.u.n, as_int(ct.u) ^ 1)
     calls = []
     real = kem.ct_equal
     monkeypatch.setattr(kem, "ct_equal", lambda a, b: calls.append(len(a)) or real(a, b))
@@ -215,18 +219,25 @@ def test_deserialize_rejects_wrong_length():
 
 
 def test_deserialize_rejects_corrupt_padding():
+    # n = 17669 leaves 3 pad bits in the last byte of a ring element: 0x20,
+    # 0x40 and 0x80; each one alone must be rejected, in every wire object
     pk, sk = make_keypair(bytes(40))
     ct, _ = kem.encaps(pk, bytes(range(40)))
-
-    blob = bytearray(kem.serialize_pk(pk))
-    blob[-1] |= 0x80  # top pad bit of s
-    with pytest.raises(kem.FormatError):
-        kem.deserialize_pk(bytes(blob))
-
-    blob = bytearray(kem.serialize_ct(ct))
-    blob[P.n_bytes - 1] |= 0x80  # pad bits of u
-    with pytest.raises(kem.FormatError):
-        kem.deserialize_ct(bytes(blob))
+    nb = P.n_bytes
+    cases = [
+        (kem.deserialize_pk, kem.serialize_pk(pk), kem.PK_BYTES - 1),       # s
+        (kem.deserialize_sk, kem.serialize_sk(sk), kem.SK_BYTES - 1),       # s of the pk in sk
+        (kem.deserialize_ct, kem.serialize_ct(ct), nb - 1),                 # u
+        (kem.deserialize_ct, kem.serialize_ct(ct), 2 * nb - 1),             # v
+    ]
+    for deserialize, wire, last in cases:
+        assert wire[last] >> 5 == 0
+        for pad in (0x20, 0x40, 0x80):
+            blob = bytearray(wire)
+            blob[last] |= pad
+            with pytest.raises(kem.FormatError):
+                deserialize(bytes(blob))
+        deserialize(wire)
 
 
 def test_deserialized_keys_operate():
@@ -235,3 +246,66 @@ def test_deserialized_keys_operate():
     sk2 = kem.deserialize_sk(kem.serialize_sk(sk))
     ct, ss = kem.encaps(pk2, RNG.randbytes(P.seed_bytes))
     assert kem.decaps(sk2, ct) == ss
+
+
+def test_malformed_ciphertexts_raise_only_format_or_decapsulation_errors():
+    # 400 random wire blobs through deserialize_ct and decaps: wrong lengths,
+    # right-length noise (its pad bits cleared half the time, so decaps runs),
+    # and honest ciphertexts with bytes overwritten at random places
+    pk, sk = make_keypair(bytes(40))
+    ct, _ = kem.encaps(pk, bytes(range(40)))
+    honest = kem.serialize_ct(ct)
+    nb = P.n_bytes
+    rng = random.Random(302)
+    outcomes = {"accepted": 0, "format": 0, "rejected": 0}
+    for case in range(400):
+        kind = case % 4
+        if kind == 0:
+            blob = rng.randbytes(rng.randrange(2 * kem.CT_BYTES))
+        elif kind in (1, 2):
+            blob = bytearray(rng.randbytes(kem.CT_BYTES))
+            if kind == 2:
+                blob[nb - 1] &= 0x1F
+                blob[2 * nb - 1] &= 0x1F
+            blob = bytes(blob)
+        else:
+            blob = bytearray(honest)
+            for _ in range(rng.randrange(1, 9)):
+                blob[rng.randrange(len(blob))] = rng.randrange(256)
+            blob = bytes(blob)
+        try:
+            kem.decaps(sk, kem.deserialize_ct(blob))
+            outcomes["accepted"] += 1
+        except kem.FormatError:
+            outcomes["format"] += 1
+        except kem.DecapsulationFailure:
+            outcomes["rejected"] += 1
+    assert outcomes["rejected"] >= 150 and outcomes["format"] >= 150
+
+
+def test_kem_accumulators_match_the_int_path(monkeypatch):
+    # keygen's s, pke_encrypt's u and v, and the noisy word pke_decrypt
+    # decodes, each built as one '<u8' accumulator, against the int path:
+    # add, the int dense_from_sparse and the shift-XOR product
+    decoded = []
+    real_decode = kem.code_decode
+    monkeypatch.setattr(kem, "code_decode", lambda w: decoded.append(as_int(w)) or real_decode(w))
+    rng = random.Random(303)
+    for _ in range(200):
+        pk, sk = kem.keygen(rng.randbytes(P.seed_bytes))
+        x, y = kem._expand_secrets(sk.seed_sk)
+        s = add(dense_ref(x), dense(P.n, mul_shift_xor(y, pk.h)))
+        assert pk.s.to_bytes() == s.to_bytes()
+
+        m, theta = rng.randbytes(P.k), rng.randbytes(P.seed_bytes)
+        u, v = kem.pke_encrypt(pk, m, theta)
+        xof = Xof(theta, DOMAIN_ENCRYPT_NOISE)
+        e, r1, r2 = (sample_fixed_weight(xof, w, P.n) for w in (P.w_e, P.w_r, P.w_r))
+        u_ref = add(dense_ref(r1), dense(P.n, mul_shift_xor(r2, pk.h)))
+        v_ref = add(add(dense(P.n, as_int(code_encode_ref(m))),
+                        dense(P.n, mul_shift_xor(r2, s))), dense_ref(e))
+        assert (u.to_bytes(), v.to_bytes()) == (u_ref.to_bytes(), v_ref.to_bytes())
+
+        assert kem.pke_decrypt(sk, u, v) == m
+        noisy = add(v_ref, dense(P.n, mul_shift_xor(sk.y, u_ref)))
+        assert decoded.pop() == as_int(noisy)

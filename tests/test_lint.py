@@ -204,3 +204,24 @@ def test_every_public_name_in_src_has_a_program_caller():
                 use(aliases[node.value.id], node.attr)
     assert sorted(f"{m}.py:{line}: {n}" for (m, n), line in defined.items()
                   if (m, n) not in used) == []
+
+
+def test_kem_path_holds_no_ring_element_int():
+    # a DensePoly is its wire bytes and the KEM builds each ring result as
+    # '<u8' words, so no int whose length follows a ring element's value is
+    # made on the KEM path: DensePoly has no int field besides its degree,
+    # and kem.py neither calls int.from_bytes nor reads a `.value`
+    from hqc128 import kem
+    from hqc128.poly_ring import DensePoly
+
+    pk, sk = kem.keygen(bytes(40))
+    ct, _ = kem.encaps(pk, bytes(range(40)))
+    kem.decaps(sk, kem.deserialize_ct(kem.serialize_ct(ct)))
+    for element in (pk.s, pk.h, ct.u, ct.v):
+        names = set(getattr(DensePoly, "__slots__", ())) | set(getattr(element, "__dict__", {}))
+        assert [name for name in sorted(names - {"n"})
+                if isinstance(getattr(element, name, None), int)] == []
+    tree = ast.parse((SRC / "kem.py").read_text())
+    assert [f"kem.py:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and (node.attr == "value" or ast.unparse(node) == "int.from_bytes")] == []

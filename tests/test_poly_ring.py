@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,16 +9,15 @@ from hqc128.counters import Counters, collecting
 from hqc128.poly_ring import (
     DensePoly,
     SparsePoly,
-    add,
     ct_equal,
     dense_from_sparse,
     mul_sparse_dense,
 )
-from tests.ring_ref import mul_shift_xor, unreduced_product
+from tests.ring_ref import add, as_int, dense, mul_shift_xor, unreduced_product
 
 
 def bit(d: DensePoly, i: int) -> int:
-    return (d.value >> i) & 1
+    return (as_int(d) >> i) & 1
 
 
 def rand_dense(n: int, rng: random.Random, density: float = 0.5) -> DensePoly:
@@ -25,7 +25,7 @@ def rand_dense(n: int, rng: random.Random, density: float = 0.5) -> DensePoly:
     for i in range(n):
         if rng.random() < density:
             value |= 1 << i
-    return DensePoly(n, value)
+    return dense(n, value)
 
 
 def rand_sparse(n: int, w: int, rng: random.Random) -> SparsePoly:
@@ -47,7 +47,7 @@ def schoolbook_mul(s: SparsePoly, d: DensePoly) -> int:
     a = 0
     for c in s.support:
         a |= 1 << c
-    b = d.value
+    b = as_int(d)
     acc = 0
     for i in range(n):
         if (a >> i) & 1:
@@ -69,9 +69,9 @@ def test_sparse_rejects_unsorted_support():
 
 
 def test_dense_from_sparse_empty_and_single():
-    assert dense_from_sparse(SparsePoly(97, ())).value == 0
+    assert as_int(dense_from_sparse(SparsePoly(97, ()))) == 0
     d = dense_from_sparse(SparsePoly(97, (0,)))
-    assert d.value == 1
+    assert as_int(d) == 1
 
 
 def test_dense_from_sparse_weight_oracle():
@@ -80,7 +80,7 @@ def test_dense_from_sparse_weight_oracle():
         n = rng.choice((97, 257))
         s = rand_sparse(n, rng.randrange(0, min(20, n)), rng)
         d = dense_from_sparse(s)
-        assert d.value.bit_count() == len(s.support)
+        assert as_int(d).bit_count() == len(s.support)
         assert sum(bit(d, i) for i in range(n)) == len(s.support)
 
 
@@ -92,8 +92,8 @@ def test_dense_from_sparse_value_oracle():
     supports += [rand_sparse(n, 75, rng).support for _ in range(200)]
     for support in supports:
         d = dense_from_sparse(SparsePoly(n, support))
-        assert d.value == sum(1 << c for c in support)
-        assert d.is_canonical()
+        assert as_int(d) == sum(1 << c for c in support)
+        assert as_int(d) >> n == 0
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_dense_from_sparse_value_oracle():
 def test_add_identity_and_self_inverse():
     rng = random.Random(11)
     a = rand_dense(257, rng)
-    zero = DensePoly(257)
+    zero = dense(257)
     assert add(a, zero) == a
     assert add(a, a) == zero
 
@@ -118,7 +118,7 @@ def test_add_commutative():
 
 def test_add_rejects_degree_mismatch():
     with pytest.raises(ValueError):
-        add(DensePoly(97), DensePoly(257))
+        add(dense(97), dense(257))
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +128,12 @@ def test_add_rejects_degree_mismatch():
 def test_mul_by_x0_is_identity():
     rng = random.Random(13)
     d = rand_dense(17669, rng, density=0.3)
-    assert mul_sparse_dense(SparsePoly(17669, (0,)), d) == d
+    assert as_int(mul_sparse_dense(SparsePoly(17669, (0,)), d)) == as_int(d)
 
 
 def test_mul_single_shift_with_wraparound():
     # n = 7: X * (1 + X^6) = X + X^7 = 1 + X
-    d = DensePoly(7, 1 | 1 << 6)
+    d = dense(7, 1 | 1 << 6)
     r = mul_sparse_dense(SparsePoly(7, (1,)), d)
     assert [bit(r, i) for i in range(7)] == [1, 1, 0, 0, 0, 0, 0]
 
@@ -145,8 +145,8 @@ def test_mul_matches_schoolbook_oracle(n, w):
         s = rand_sparse(n, w, rng)
         d = rand_dense(n, rng)
         got = mul_sparse_dense(s, d)
-        assert got.is_canonical()
-        assert got.value == schoolbook_mul(s, d)
+        assert as_int(got) >> n == 0
+        assert as_int(got) == schoolbook_mul(s, d)
 
 
 def test_mul_matches_schoolbook_at_full_size():
@@ -154,7 +154,7 @@ def test_mul_matches_schoolbook_at_full_size():
     for _ in range(5):
         s = rand_sparse(17669, 75, rng)
         d = rand_dense(17669, rng)
-        assert mul_sparse_dense(s, d).value == schoolbook_mul(s, d)
+        assert as_int(mul_sparse_dense(s, d)) == schoolbook_mul(s, d)
 
 
 def test_mul_is_xor_of_single_coordinate_products():
@@ -163,10 +163,10 @@ def test_mul_is_xor_of_single_coordinate_products():
         s = rand_sparse(97, 6, rng)
         d = rand_dense(97, rng)
         combined = mul_sparse_dense(s, d)
-        acc = DensePoly(97)
+        acc = dense(97)
         for c in s.support:
-            acc = add(acc, mul_sparse_dense(SparsePoly(97, (c,)), d))
-        assert combined == acc
+            acc = add(acc, dense(97, as_int(mul_sparse_dense(SparsePoly(97, (c,)), d))))
+        assert as_int(combined) == as_int(acc)
 
 
 def test_mul_distributes_over_add():
@@ -176,16 +176,17 @@ def test_mul_distributes_over_add():
         d1 = rand_dense(97, rng)
         d2 = rand_dense(97, rng)
         lhs = mul_sparse_dense(s, add(d1, d2))
-        rhs = add(mul_sparse_dense(s, d1), mul_sparse_dense(s, d2))
-        assert lhs == rhs
+        rhs = add(dense(97, as_int(mul_sparse_dense(s, d1))),
+                  dense(97, as_int(mul_sparse_dense(s, d2))))
+        assert as_int(lhs) == as_int(rhs)
 
 
 def test_reduce_xn_is_one():
     # X * X^(n-1) = X^n, which reduces to 1
     n = 97
-    r = mul_sparse_dense(SparsePoly(n, (1,)), DensePoly(n, 1 << (n - 1)))
+    r = mul_sparse_dense(SparsePoly(n, (1,)), dense(n, 1 << (n - 1)))
     assert bit(r, 0) == 1
-    assert r.value.bit_count() == 1
+    assert as_int(r).bit_count() == 1
 
 
 def test_reduce_low_bits_unchanged():
@@ -193,9 +194,9 @@ def test_reduce_low_bits_unchanged():
     rng = random.Random(17)
     n = 97
     for c in (0, 1, 30, 60):
-        low = DensePoly(n, rng.getrandbits(n - c))
+        low = dense(n, rng.getrandbits(n - c))
         got = mul_sparse_dense(SparsePoly(n, (c,)), low)
-        assert got == DensePoly(n, low.value << c)
+        assert as_int(got) == as_int(low) << c
 
 
 def test_reduce_matches_per_bit_oracle():
@@ -203,10 +204,10 @@ def test_reduce_matches_per_bit_oracle():
     n = 97
     for _ in range(1000):
         s = rand_sparse(n, rng.randrange(1, 20), rng)
-        d = DensePoly(n, rng.getrandbits(n))
+        d = dense(n, rng.getrandbits(n))
         unreduced = unreduced_product(s, d)
         assert unreduced.bit_length() <= 2 * n - 1
-        assert mul_sparse_dense(s, d).value == fold_per_bit(unreduced, n)
+        assert as_int(mul_sparse_dense(s, d)) == fold_per_bit(unreduced, n)
 
 
 def test_accumulator_degree_bound_after_mul():
@@ -229,14 +230,14 @@ def test_mul_matches_shift_xor_oracle(n):
             if w >= 2:
                 # both ends: the shortest (c = 0) and longest (c = n - 1) shift
                 support = set(sorted(support)[1:-1]) | {0, n - 1}
-            d = DensePoly(n, rng.getrandbits(n))
+            d = dense(n, rng.getrandbits(n))
             s = SparsePoly(n, tuple(sorted(support)))
-            assert mul_sparse_dense(s, d).value == mul_shift_xor(s, d)
+            assert as_int(mul_sparse_dense(s, d)) == mul_shift_xor(s, d)
             # the same operand again, with another support: cached copies
             s2 = rand_sparse(n, w, rng)
             got = mul_sparse_dense(s2, d)
-            assert got.is_canonical()
-            assert got.value == mul_shift_xor(s2, d)
+            assert as_int(got) >> n == 0
+            assert as_int(got) == mul_shift_xor(s2, d)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +249,9 @@ def test_operations_preserve_canonical_form():
     for n in (97, 257, 17669):
         s = rand_sparse(n, 10, rng)
         d = rand_dense(n, rng)
-        assert dense_from_sparse(s).is_canonical()
-        assert add(d, d).is_canonical()
-        assert mul_sparse_dense(s, d).is_canonical()
+        assert as_int(dense_from_sparse(s)) >> n == 0
+        assert as_int(add(d, d)) >> n == 0
+        assert as_int(mul_sparse_dense(s, d)) >> n == 0
 
 
 def test_byte_roundtrip():
@@ -269,6 +270,38 @@ def test_from_bytes_rejects_bad_input():
     bad[-1] = 0x80  # bit 103 >= n
     with pytest.raises(ValueError):
         DensePoly.from_bytes(97, bytes(bad))
+
+
+def test_from_bytes_checks_each_pad_bit():
+    # n = 17669 leaves 5 data bits in the last byte: 0x20 is the lowest pad bit
+    n = 17669
+    blob = bytearray(random.Random(26).randbytes((n + 7) // 8))
+    blob[-1] = 0x1F
+    assert DensePoly.from_bytes(n, bytes(blob)).to_bytes() == bytes(blob)
+    for pad in (0x20, 0x40, 0x80):
+        blob[-1] = 0x1F | pad
+        with pytest.raises(ValueError):
+            DensePoly.from_bytes(n, bytes(blob))
+    # a degree that fills its last byte has no pad bits
+    assert DensePoly.from_bytes(64, b"\xff" * 8).to_bytes() == b"\xff" * 8
+
+
+@pytest.mark.parametrize("n", [7, 64, 97, 17669])
+def test_ring_results_are_fixed_length_words(n):
+    # every ring result is ceil(n/64) '<u8' words with the bits at or above n
+    # clear, whatever the support: the KEM adds its addends into them. n = 64
+    # fills its last byte and word, so d << n needs no bit shift
+    rng = random.Random(n + 27)
+    words = (n + 63) // 64
+    for d in (dense(n, (1 << n) - 1), dense(n, rng.getrandbits(n))):
+        for support in ((), (0,), (n - 1,), tuple(sorted(rng.sample(range(n), min(n, 20))))):
+            s = SparsePoly(n, support)
+            product, scattered = mul_sparse_dense(s, d), dense_from_sparse(s)
+            for got in (product, scattered):
+                assert got.dtype == np.dtype("<u8") and got.shape == (words,)
+                assert as_int(got) >> n == 0
+            assert as_int(product) == mul_shift_xor(s, d)
+            assert as_int(scattered) == sum(1 << c for c in support)
 
 
 @settings(max_examples=50, deadline=None)
