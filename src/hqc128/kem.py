@@ -26,12 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import counters
 from .codes import P, code_decode, code_encode
 from .poly_ring import (DensePoly, FormatError, SparsePoly, ct_equal, dense_from_sparse,
-                        mul_sparse_dense)
+                        mul_sparse_dense, xor_into)
 from .sampling import (
     DOMAIN_ENCRYPT_NOISE,
     DOMAIN_KEYGEN_EXPAND,
@@ -76,11 +74,6 @@ class Ciphertext:
     d: bytes
 
 
-def _element(acc: np.ndarray) -> DensePoly:
-    """The ring element whose ceil(n/64) '<u8' words `acc` holds."""
-    return DensePoly(P.n, acc.tobytes()[:P.n_bytes])
-
-
 def _check_seed(seed: bytes) -> None:
     if len(seed) != P.seed_bytes:
         raise ValueError(f"seed must be {P.seed_bytes} bytes")
@@ -107,7 +100,7 @@ def keygen(seed: bytes) -> tuple[PublicKey, SecretKey]:
     x, y = _expand_secrets(seed_sk)
     s = mul_sparse_dense(y, h)
     s ^= dense_from_sparse(x)
-    pk = PublicKey(seed_h, _element(s), h)
+    pk = PublicKey(seed_h, DensePoly.from_words(P.n, s), h)
     return pk, SecretKey(seed_sk, y, pk)
 
 
@@ -126,14 +119,12 @@ def pke_encrypt(pk: PublicKey, m: bytes, theta: bytes) -> tuple[DensePoly, Dense
     mg = code_encode(m)
     v[:mg.size] ^= mg
     v ^= dense_from_sparse(e)
-    return _element(u), _element(v)
+    return DensePoly.from_words(P.n, u), DensePoly.from_words(P.n, v)
 
 
 def pke_decrypt(sk: SecretKey, u: DensePoly, v: DensePoly) -> bytes:
     """C.Decode(v - u*y); wrong beyond the code capability, never raises."""
-    noisy = mul_sparse_dense(sk.y, u)
-    noisy.view(np.uint8)[:P.n_bytes] ^= np.frombuffer(v.data, dtype=np.uint8)
-    return code_decode(noisy)
+    return code_decode(xor_into(mul_sparse_dense(sk.y, u), v))
 
 
 def encaps(pk: PublicKey, coins: bytes) -> tuple[Ciphertext, bytes]:

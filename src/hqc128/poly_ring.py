@@ -4,10 +4,12 @@ A dense element is held as its canonical wire bytes, bit i of the element
 at bit (i mod 8) of byte (i div 8). A ring result is built as ceil(n/64)
 little-endian '<u8' words: the sparse*dense product returns its accumulator
 in that form, a sparse addend is a fixed-length 0/1 scatter packed into
-the same form, and the caller XORs its addends in before one conversion to
-bytes. The product is one numpy gather: X^c * d mod (X^n - 1) is the low n
-bits of (d | d << n) >> (n - c), a ceil(n/64)-word window of one of 8
-bit-shifted byte copies of the doubled operand. The copies are built once
+the same form, and the caller XORs its addends in (a dense one through
+`xor_into`) before one conversion to bytes (`DensePoly.from_words`). The
+word and byte layouts are decided here and in no caller. The product is
+one numpy gather: X^c * d mod (X^n - 1) is the low n bits of
+(d | d << n) >> (n - c), a ceil(n/64)-word window of one of 8 bit-shifted
+byte copies of the doubled operand. The copies are built once
 per dense operand and kept on it, and the gathered rows are XOR-reduced.
 Every coordinate reads the same number of words whatever its value, though
 the offsets it reads at follow c (see the side-channel notes in the README).
@@ -69,6 +71,12 @@ class DensePoly:
         if n & 7 and data[-1] >> (n & 7):
             raise FormatError("nonzero padding bits beyond degree n-1")
         return cls(n, bytes(data))
+
+    @classmethod
+    def from_words(cls, n: int, acc: np.ndarray) -> "DensePoly":
+        """The element whose ceil(n/64) '<u8' words, bits at or above n
+        clear, are `acc`: one conversion to bytes, cut to ceil(n/8)."""
+        return cls(n, acc.tobytes()[:(n + 7) >> 3])
 
 
 @dataclass(frozen=True)
@@ -141,6 +149,13 @@ def mul_sparse_dense(s: SparsePoly, d: DensePoly) -> np.ndarray:
     acc = np.bitwise_xor.reduce(_rotations(d)[sh & 7, sh >> 3], axis=0)
     acc[-1] &= (1 << (n - 64 * (words - 1))) - 1
     counters.add("ring_word_ops", 2 * (words + 1) * len(s.support))
+    return acc
+
+
+def xor_into(acc: np.ndarray, d: DensePoly) -> np.ndarray:
+    """Add d to the ceil(n/64) '<u8' words `acc` in place: its wire bytes
+    are XORed into the low bytes of the words. Returns acc."""
+    acc.view(np.uint8)[:len(d.data)] ^= np.frombuffer(d.data, dtype=np.uint8)
     return acc
 
 

@@ -92,16 +92,9 @@ def sample_fixed_weight(xof: Xof, weight: int, n: int) -> SparsePoly:
     and decoded at once. Values at or above the largest multiple of n below
     2^24 are rejected (removing the modulo bias), then duplicates are
     rejected until `weight` distinct coordinates are found; the rest of the
-    last chunk is discarded.
-
-    A chunk is filtered and reduced mod n in one list comprehension, and its
-    coordinates are added by one set union when the chunk cannot complete
-    `weight`, or when every draw in it is a new coordinate and its last
-    draw completes `weight` (the common case, for weight = chunk size).
-    Only a chunk that completes the weight earlier is walked draw by draw,
-    to stop at the completing draw. The number of draws and chunks is the
-    documented data-dependent quantity of this technique; the draw cap is
-    checked before each chunk.
+    last chunk is discarded. The number of draws is the documented
+    data-dependent quantity of this technique; the work per draw is
+    input-independent.
     """
     if weight > n:
         raise ValueError("weight exceeds modulus")
@@ -112,20 +105,14 @@ def sample_fixed_weight(xof: Xof, weight: int, n: int) -> SparsePoly:
     picked: set[int] = set()
     draws = 0
     while len(picked) < weight:
-        if draws >= MAX_SAMPLE_DRAWS:
-            raise SamplingError("rejection sampling exceeded the draw cap")
         raw = xof.squeeze(3 * count)
         wide[0::4] = raw[0::3]
         wide[1::4] = raw[1::3]
         wide[2::4] = raw[2::3]
-        values = decode(wide)
-        grown = picked.union([v % n for v in values if v < threshold])
-        if len(grown) < weight or len(grown) == len(picked) + count == weight:
-            picked = grown
-            draws += count
-            continue
-        for value in values:
+        for value in decode(wide):
             draws += 1
+            if draws > MAX_SAMPLE_DRAWS:
+                raise SamplingError("rejection sampling exceeded the draw cap")
             if value < threshold:
                 picked.add(value % n)
                 if len(picked) == weight:

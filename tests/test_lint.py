@@ -210,7 +210,9 @@ def test_kem_path_holds_no_ring_element_int():
     # a DensePoly is its wire bytes and the KEM builds each ring result as
     # '<u8' words, so no int whose length follows a ring element's value is
     # made on the KEM path: DensePoly has no int field besides its degree,
-    # and kem.py neither calls int.from_bytes nor reads a `.value`
+    # and kem.py neither calls int.from_bytes nor reads a `.value`. The word
+    # and byte layouts of ring results belong to poly_ring, so kem.py does
+    # not import numpy either
     from hqc128 import kem
     from hqc128.poly_ring import DensePoly
 
@@ -225,3 +227,7 @@ def test_kem_path_holds_no_ring_element_int():
     assert [f"kem.py:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and (node.attr == "value" or ast.unparse(node) == "int.from_bytes")] == []
+    assert [f"kem.py:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy"
+                                                    for a in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")] == []

@@ -20,6 +20,7 @@ from hqc128.sampling import (
 )
 from tests.keccak_ref import KeccakState, PureXof, keccak_f1600
 from tests.ring_ref import as_int
+from tests import sampling_ref
 from tests.sampling_ref import sample_fixed_weight_per_draw
 
 # Keccak team known-answer vectors: the f[1600] permutation applied to the
@@ -237,6 +238,26 @@ def test_fixed_weight_draw_cap(monkeypatch):
     monkeypatch.setattr(sampling, "MAX_SAMPLE_DRAWS", 5)
     with pytest.raises(SamplingError):
         sample_fixed_weight(Xof(b"x" * 40, 3), 10, 10)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fixed_weight_draw_cap_is_per_draw(monkeypatch, seed):
+    # the cap is checked on each draw, as in the oracle: with the cap one
+    # below the draws a support needs, both raise, and at exactly that many
+    # both return it, also when the cap is not a multiple of the chunk size
+    weight, n = 5, 7
+    key = bytes([seed]) * 40
+    support, needed = sample_fixed_weight_per_draw(Xof(key, 3), weight, n)
+    for cap in (needed - 1, needed):
+        monkeypatch.setattr(sampling, "MAX_SAMPLE_DRAWS", cap)
+        monkeypatch.setattr(sampling_ref, "MAX_SAMPLE_DRAWS", cap)
+        if cap < needed:
+            with pytest.raises(SamplingError):
+                sample_fixed_weight_per_draw(Xof(key, 3), weight, n)
+            with pytest.raises(SamplingError):
+                sample_fixed_weight(Xof(key, 3), weight, n)
+        else:
+            assert sample_fixed_weight(Xof(key, 3), weight, n).support == support
 
 
 def test_sample_uniform_dense_is_canonical():
