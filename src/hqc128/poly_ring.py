@@ -22,7 +22,6 @@ from bytes count nothing; the KEM counts each wire object once.
 from __future__ import annotations
 
 import hmac
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,28 +78,52 @@ class DensePoly:
         return cls(n, acc.tobytes()[:(n + 7) >> 3])
 
 
-@dataclass(frozen=True)
 class SparsePoly:
-    """Ring element of small weight, stored as its sorted support."""
+    """Ring element of small weight, held as its support: one sorted,
+    read-only intp array of distinct coordinates below n, which the product
+    and the scatter index with directly.
 
-    n: int
-    support: tuple[int, ...]
+    The constructor takes any int sequence and checks it with one vectorized
+    comparison of neighbours and its two ends against [0, n); the sampler,
+    whose output is sorted, distinct and below n by construction, builds its
+    result through `_trusted` without the check.
+    """
 
-    def __post_init__(self):
-        prev = -1
-        for c in self.support:
-            if c <= prev:
-                raise ValueError("support must be strictly increasing")
-            prev = c
-        if prev >= self.n:
-            raise ValueError("support coordinate out of range")
+    __slots__ = ("n", "support")
+
+    def __init__(self, n: int, support):
+        array = np.array(support, dtype=np.intp)
+        if array.ndim != 1 or array.size and not (
+                0 <= array[0] and array[-1] < n and (array[1:] > array[:-1]).all()):
+            raise ValueError("support must be strictly increasing coordinates below n")
+        array.flags.writeable = False
+        self.n = n
+        self.support = array
+
+    @classmethod
+    def _trusted(cls, n: int, support: np.ndarray) -> "SparsePoly":
+        """Wrap a sorted intp array of distinct coordinates below n as is."""
+        support.flags.writeable = False
+        s = cls.__new__(cls)
+        s.n = n
+        s.support = support
+        return s
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SparsePoly)
+            and self.n == other.n
+            and np.array_equal(self.support, other.support)
+        )
+
+    __hash__ = None
 
 
 def dense_from_sparse(s: SparsePoly) -> np.ndarray:
     """The ceil(n/64) '<u8' words of s: the support set to 1 in a zeroed 0/1
     buffer of 64 * ceil(n/64) bytes, packed once."""
     bits = np.zeros(((s.n + 63) >> 6) << 6, dtype=np.uint8)
-    bits[np.array(s.support, dtype=np.intp)] = 1
+    bits[s.support] = 1
     return np.packbits(bits, bitorder="little").view("<u8")
 
 
@@ -145,7 +168,7 @@ def mul_sparse_dense(s: SparsePoly, d: DensePoly) -> np.ndarray:
         raise ValueError("ring degree mismatch")
     n = d.n
     words = (n + 63) >> 6
-    sh = n - np.array(s.support, dtype=np.intp)
+    sh = n - s.support
     acc = np.bitwise_xor.reduce(_rotations(d)[sh & 7, sh >> 3], axis=0)
     acc[-1] &= (1 << (n - 64 * (words - 1))) - 1
     counters.add("ring_word_ops", 2 * (words + 1) * len(s.support))

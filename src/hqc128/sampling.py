@@ -17,6 +17,8 @@ from __future__ import annotations
 import hashlib
 import struct
 
+import numpy as np
+
 from . import counters
 from .poly_ring import DensePoly, SparsePoly
 
@@ -92,9 +94,13 @@ def sample_fixed_weight(xof: Xof, weight: int, n: int) -> SparsePoly:
     and decoded at once. Values at or above the largest multiple of n below
     2^24 are rejected (removing the modulo bias), then duplicates are
     rejected until `weight` distinct coordinates are found; the rest of the
-    last chunk is discarded. The number of draws is the documented
-    data-dependent quantity of this technique; the work per draw is
-    input-independent.
+    last chunk is discarded. A chunk begun with nothing picked holds `weight`
+    draws, so it can complete the weight only at its last draw: it is taken
+    whole, in one set build. A later chunk is walked draw by draw and stops
+    where the weight is reached. The draw cap holds per draw on both paths.
+    The number of draws, and with it the number of chunks and of draws
+    walked one at a time, is the documented data-dependent quantity of this
+    technique. The support is returned as a sorted intp array.
     """
     if weight > n:
         raise ValueError("weight exceeds modulus")
@@ -109,6 +115,12 @@ def sample_fixed_weight(xof: Xof, weight: int, n: int) -> SparsePoly:
         wide[0::4] = raw[0::3]
         wide[1::4] = raw[1::3]
         wide[2::4] = raw[2::3]
+        if not picked:
+            draws += count
+            if draws > MAX_SAMPLE_DRAWS:
+                raise SamplingError("rejection sampling exceeded the draw cap")
+            picked = {value % n for value in decode(wide) if value < threshold}
+            continue
         for value in decode(wide):
             draws += 1
             if draws > MAX_SAMPLE_DRAWS:
@@ -118,7 +130,9 @@ def sample_fixed_weight(xof: Xof, weight: int, n: int) -> SparsePoly:
                 if len(picked) == weight:
                     break
     counters.add("samples_drawn", draws)
-    return SparsePoly(n, tuple(sorted(picked)))
+    support = np.fromiter(picked, np.intp, weight)
+    support.sort()
+    return SparsePoly._trusted(n, support)
 
 
 def sample_uniform_dense(xof: Xof, n: int) -> DensePoly:

@@ -43,14 +43,14 @@ def add(a: DensePoly, b: DensePoly) -> DensePoly:
 
 def dense_from_sparse(s: SparsePoly) -> DensePoly:
     """Set the support bits of one int."""
-    return dense(s.n, sum(1 << c for c in s.support))
+    return dense(s.n, sum(1 << c for c in s.support.tolist()))
 
 
 def unreduced_product(s: SparsePoly, d: DensePoly) -> int:
     """XOR of d << c over the support: degree < 2n - 1, not yet reduced."""
     acc = 0
     dv = as_int(d)
-    for c in s.support:
+    for c in s.support.tolist():
         acc ^= dv << c
     return acc
 

@@ -231,3 +231,20 @@ def test_kem_path_holds_no_ring_element_int():
             if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy"
                                                     for a in node.names)
             or isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")] == []
+
+
+def test_supports_stay_index_arrays():
+    # a fixed-weight support is one sorted intp array from the sampler to the
+    # ring product: poly_ring.py and sampling.py call neither tuple nor sorted,
+    # which built the support tuple, and never pass `.support` to np.array
+    bad = []
+    for name in ("poly_ring.py", "sampling.py"):
+        tree = ast.parse((SRC / name).read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func)
+            if func in ("tuple", "sorted") or func in ("np.array", "np.asarray") and any(
+                    isinstance(a, ast.Attribute) and a.attr == "support" for a in node.args):
+                bad.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert bad == []

@@ -45,7 +45,7 @@ def schoolbook_mul(s: SparsePoly, d: DensePoly) -> int:
     operand, then reduce bit by bit."""
     n = s.n
     a = 0
-    for c in s.support:
+    for c in s.support.tolist():
         a |= 1 << c
     b = as_int(d)
     acc = 0
@@ -60,12 +60,24 @@ def schoolbook_mul(s: SparsePoly, d: DensePoly) -> int:
 
 
 def test_sparse_rejects_unsorted_support():
+    # unsorted, repeated, at or above n, negative: as a tuple, a list and an
+    # intp array
+    for support in ((5, 3), (3, 3), (3, 97), (-1, 3)):
+        for given in (support, list(support), np.array(support, dtype=np.intp)):
+            with pytest.raises(ValueError):
+                SparsePoly(97, given)
+
+
+def test_sparse_support_is_a_read_only_copy():
+    given = np.array([3, 5, 96], dtype=np.intp)
+    s = SparsePoly(97, given)
+    assert s.support.dtype == np.intp and s.support.tolist() == [3, 5, 96]
     with pytest.raises(ValueError):
-        SparsePoly(97, (5, 3))
-    with pytest.raises(ValueError):
-        SparsePoly(97, (3, 3))
-    with pytest.raises(ValueError):
-        SparsePoly(97, (3, 97))
+        s.support[0] = 4
+    given[0] = 4
+    assert s.support.tolist() == [3, 5, 96]
+    assert SparsePoly(97, [3, 5, 96]) == s != SparsePoly(97, [3, 5])
+    assert SparsePoly(97, ()) != SparsePoly(98, ())
 
 
 def test_dense_from_sparse_empty_and_single():
@@ -89,7 +101,7 @@ def test_dense_from_sparse_value_oracle():
     n = 17669
     rng = random.Random(11)
     supports = [(0,), (7,), (8,), (n - 1,), (0, 7, 8, n - 1)]
-    supports += [rand_sparse(n, 75, rng).support for _ in range(200)]
+    supports += [rand_sparse(n, 75, rng).support.tolist() for _ in range(200)]
     for support in supports:
         d = dense_from_sparse(SparsePoly(n, support))
         assert as_int(d) == sum(1 << c for c in support)
@@ -164,7 +176,7 @@ def test_mul_is_xor_of_single_coordinate_products():
         d = rand_dense(97, rng)
         combined = mul_sparse_dense(s, d)
         acc = dense(97)
-        for c in s.support:
+        for c in s.support.tolist():
             acc = add(acc, dense(97, as_int(mul_sparse_dense(SparsePoly(97, (c,)), d))))
         assert as_int(combined) == as_int(acc)
 

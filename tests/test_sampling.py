@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -188,6 +189,9 @@ def test_fixed_weight_postconditions():
         assert len(set(s.support)) == p.w_r
         assert all(0 <= c < p.n for c in s.support)
         assert list(s.support) == sorted(s.support)
+        assert isinstance(s.support, np.ndarray) and s.support.dtype == np.intp
+        with pytest.raises(ValueError):
+            s.support[0] = 0
 
 
 def test_fixed_weight_deterministic():
@@ -206,26 +210,34 @@ def test_fixed_weight_rejection_threshold_is_unbiased():
 def test_fixed_weight_matches_per_draw_oracle():
     # the chunk decoder against the per-draw loop on twin streams: the same
     # support and draw count, the same counts, and the same bytes squeezed
-    # next, so the cursor stops where the per-draw loop stops
+    # next, so the cursor stops where the per-draw loop stops. The cases
+    # include first chunks that complete the weight (taken whole) and first
+    # chunks that do not, through a duplicate (n = 97) or a rejection
+    # (n = 2^23 + 1), after which the next chunk is walked draw by draw
     rng = random.Random(110)
+    paths = set()
     cases = [(rng.randbytes(40), (w, w, w), 17669) for _ in range(300) for w in (66, 75)]
     cases += [(rng.randbytes(40), (75, 1, 66), (1 << 23) + 1) for _ in range(20)]
     cases += [(rng.randbytes(40), (w, w), n)
               for n, w in ((1, 1), (2, 2), (3, 3), (10, 9), (10, 10), (64, 60))
               for _ in range(10)]
     cases += [(rng.randbytes(40), (0, 0, 5), 17669) for _ in range(5)]
+    cases += [(rng.randbytes(40), (10, 10), 97) for _ in range(20)]
     for seed, weights, n in cases:
         fast, ref = Xof(seed, DOMAIN_ENCRYPT_NOISE), Xof(seed, DOMAIN_ENCRYPT_NOISE)
         for w in weights:
             c_fast, c_ref = Counters(), Counters()
             with collecting(c_fast):
-                support = sample_fixed_weight(fast, w, n).support
+                support = tuple(sample_fixed_weight(fast, w, n).support.tolist())
             with collecting(c_ref):
                 ref_support, draws = sample_fixed_weight_per_draw(ref, w, n)
             assert (support, c_fast.samples_drawn) == (ref_support, draws), (seed, w, n)
             assert c_fast.keccak_permutations == c_ref.keccak_permutations
             assert c_fast.bytes_copied == c_ref.bytes_copied
+            if w:
+                paths.add((n, draws == w))
         assert fast.squeeze(16) == ref.squeeze(16), (seed, weights, n)
+    assert {(17669, True), (97, True), (97, False), ((1 << 23) + 1, False)} <= paths
 
 
 def test_fixed_weight_weight_cap():
@@ -238,6 +250,12 @@ def test_fixed_weight_draw_cap(monkeypatch):
     monkeypatch.setattr(sampling, "MAX_SAMPLE_DRAWS", 5)
     with pytest.raises(SamplingError):
         sample_fixed_weight(Xof(b"x" * 40, 3), 10, 10)
+    # a first chunk that completes the weight is taken whole: at a cap of 5
+    # its 5 draws pass, and at 4 the cap still stops it
+    assert len(sample_fixed_weight(Xof(b"x" * 40, 3), 5, 17669).support) == 5
+    monkeypatch.setattr(sampling, "MAX_SAMPLE_DRAWS", 4)
+    with pytest.raises(SamplingError):
+        sample_fixed_weight(Xof(b"x" * 40, 3), 5, 17669)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -257,7 +275,7 @@ def test_fixed_weight_draw_cap_is_per_draw(monkeypatch, seed):
             with pytest.raises(SamplingError):
                 sample_fixed_weight(Xof(key, 3), weight, n)
         else:
-            assert sample_fixed_weight(Xof(key, 3), weight, n).support == support
+            assert tuple(sample_fixed_weight(Xof(key, 3), weight, n).support.tolist()) == support
 
 
 def test_sample_uniform_dense_is_canonical():
