@@ -94,13 +94,9 @@ def sample_fixed_weight(xof: Xof, weight: int, n: int) -> SparsePoly:
     and decoded at once. Values at or above the largest multiple of n below
     2^24 are rejected (removing the modulo bias), then duplicates are
     rejected until `weight` distinct coordinates are found; the rest of the
-    last chunk is discarded. A chunk begun with nothing picked holds `weight`
-    draws, so it can complete the weight only at its last draw: it is taken
-    whole, in one set build. A later chunk is walked draw by draw and stops
-    where the weight is reached. The draw cap holds per draw on both paths.
-    The number of draws, and with it the number of chunks and of draws
-    walked one at a time, is the documented data-dependent quantity of this
-    technique. The support is returned as a sorted intp array.
+    last chunk is discarded. The number of draws is the documented
+    data-dependent quantity of this technique; the work per draw is
+    input-independent. The support is returned as a sorted intp array.
     """
     if weight > n:
         raise ValueError("weight exceeds modulus")
@@ -115,12 +111,6 @@ def sample_fixed_weight(xof: Xof, weight: int, n: int) -> SparsePoly:
         wide[0::4] = raw[0::3]
         wide[1::4] = raw[1::3]
         wide[2::4] = raw[2::3]
-        if not picked:
-            draws += count
-            if draws > MAX_SAMPLE_DRAWS:
-                raise SamplingError("rejection sampling exceeded the draw cap")
-            picked = {value % n for value in decode(wide) if value < threshold}
-            continue
         for value in decode(wide):
             draws += 1
             if draws > MAX_SAMPLE_DRAWS:

@@ -233,18 +233,29 @@ def test_kem_path_holds_no_ring_element_int():
             or isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")] == []
 
 
+def _is_support(node: ast.expr) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "support"
+
+
 def test_supports_stay_index_arrays():
     # a fixed-weight support is one sorted intp array from the sampler to the
-    # ring product: poly_ring.py and sampling.py call neither tuple nor sorted,
-    # which built the support tuple, and never pass `.support` to np.array
+    # ring product, so src never turns a support (a `.support` attribute, or
+    # the sampler's `picked` set before it becomes that array) back into a
+    # Python sequence: no tuple, sorted, list, np.array or np.asarray of it,
+    # no `.support.tolist()`, and no loop or comprehension over `.support`
     bad = []
-    for name in ("poly_ring.py", "sampling.py"):
-        tree = ast.parse((SRC / name).read_text())
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = ast.unparse(node.func)
-            if func in ("tuple", "sorted") or func in ("np.array", "np.asarray") and any(
-                    isinstance(a, ast.Attribute) and a.attr == "support" for a in node.args):
-                bad.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+            if isinstance(node, ast.Call):
+                func = ast.unparse(node.func)
+                if func in ("tuple", "sorted", "list", "np.array", "np.asarray") and any(
+                        _is_support(a) or isinstance(a, ast.Name) and a.id == "picked"
+                        for a in node.args):
+                    bad.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+                elif (isinstance(node.func, ast.Attribute) and node.func.attr == "tolist"
+                      and _is_support(node.func.value)):
+                    bad.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            elif isinstance(node, (ast.For, ast.comprehension)) and _is_support(node.iter):
+                bad.append(f"{path.name}:{node.iter.lineno}: for ... in {ast.unparse(node.iter)}")
     assert bad == []

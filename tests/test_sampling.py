@@ -211,9 +211,8 @@ def test_fixed_weight_matches_per_draw_oracle():
     # the chunk decoder against the per-draw loop on twin streams: the same
     # support and draw count, the same counts, and the same bytes squeezed
     # next, so the cursor stops where the per-draw loop stops. The cases
-    # include first chunks that complete the weight (taken whole) and first
-    # chunks that do not, through a duplicate (n = 97) or a rejection
-    # (n = 2^23 + 1), after which the next chunk is walked draw by draw
+    # include first chunks that complete the weight and first chunks that do
+    # not, through a duplicate (n = 97) or a rejection (n = 2^23 + 1)
     rng = random.Random(110)
     paths = set()
     cases = [(rng.randbytes(40), (w, w, w), 17669) for _ in range(300) for w in (66, 75)]
@@ -250,8 +249,9 @@ def test_fixed_weight_draw_cap(monkeypatch):
     monkeypatch.setattr(sampling, "MAX_SAMPLE_DRAWS", 5)
     with pytest.raises(SamplingError):
         sample_fixed_weight(Xof(b"x" * 40, 3), 10, 10)
-    # a first chunk that completes the weight is taken whole: at a cap of 5
-    # its 5 draws pass, and at 4 the cap still stops it
+    # a support that completes at the cap's last draw passes: at a cap of 5
+    # a weight-5 first chunk that completes the weight passes, and at 4 the
+    # cap stops it
     assert len(sample_fixed_weight(Xof(b"x" * 40, 3), 5, 17669).support) == 5
     monkeypatch.setattr(sampling, "MAX_SAMPLE_DRAWS", 4)
     with pytest.raises(SamplingError):
