@@ -120,65 +120,64 @@ def gf_pow_alpha(e: int) -> int:
     return _EXP[e % 255]
 
 
-class _RSTables:
-    def __init__(self, n1: int, k: int, delta: int):
-        t = 2 * delta
-        self.syn = _Lanes(t)
-        self.bm = _Lanes(3 * delta + 1)
-        self.chien = _Lanes(3 * k)
-        self.msg = _Lanes(k)
-        self.word = _Lanes(n1)
-
-        # syndrome rows: lane i of row j is alpha^((i+1) j)
-        self.syn_rows = [
-            self.syn.pack(bytes(gf_pow_alpha((i + 1) * j) for i in range(t))) & self.syn.low
-            for j in range(n1)
-        ]
-
-        # g(X) = prod_{i=1..2 delta} (X - alpha^i), lane j = coefficient of X^j;
-        # syndrome row 1 holds the roots alpha^1 .. alpha^(2 delta)
-        gen = _Lanes(t + 1)
-        g = 1
-        for root in self.syn.scalars(self.syn_rows[1]):
-            g = gen.reduce((g << 64) ^ g * (root + _NZ)) & gen.low
-        g_low = g & self.syn.low                 # g_0 .. g_{t-1}, monic top dropped
-
-        # parity_rows[m] = X^(m-k) = X^(255-k+m) mod g; parity = sum msg_m rows_m
-        rows = []
-        r = 1
-        for e in range(1, 255):
-            top = r >> (64 * (t - 1))
-            r = self.syn.reduce((r << 64) ^ g_low * (top + _NZ)) & self.syn.low
-            if e >= 255 - k:
-                rows.append(r)
-        self.parity_rows = rows
-
-        # Chien/Forney rows, one per riBM output lane i in [0, 2 delta]: lanes
-        # [0, k) evaluate the locator Lambda_(i-delta) at X_j^-1 = alpha^-j,
-        # lanes [k, 2k) its derivative (odd terms), lanes [2k, 3k) the
-        # modified evaluator Omega_i with the factor X_j^(-2 delta) folded in.
-        chien = []
-        for i in range(t + 1):
-            v = bytearray(3 * k)
-            for j in range(k):
-                e = i - delta
-                if e >= 0:
-                    v[j] = gf_pow_alpha(-j * e)
-                    if e % 2:
-                        v[k + j] = gf_pow_alpha(-j * (e - 1))
-                else:
-                    v[2 * k + j] = gf_pow_alpha(-j * (i + t))
-            chien.append(self.chien.pack(bytes(v)) & self.chien.low)
-        self.chien_rows = chien
-
-        # gf_muls of one rs_decode call as the cost model charges them: syndromes,
-        # riBM, the three evaluations, then 11 products for each inverse (the
-        # a^254 chain; here a table select) and one for Y_j
-        self.decode_muls = (n1 * t + 2 * t * (3 * delta + 1)
-                            + k * ((delta + 1) + (delta + 1) // 2 + delta + 12))
+# The RS layer's three widths. The received word, the syndromes, the parity
+# remainder, g(X) and the riBM state share one: n1 = 3 delta + 1 = 46 lanes.
+_WORD = _Lanes(max(P.n1, 3 * P.delta + 1))
+_CHIEN = _Lanes(3 * P.k)
+_MSG = _Lanes(P.k)
 
 
-_RS = _RSTables(P.n1, P.k, P.delta)
+def _rs_tables() -> tuple[list[int], list[int], list[int]]:
+    """The syndrome, parity and Chien/Forney rows, packed without guards."""
+    k, delta, t = P.k, P.delta, 2 * P.delta
+
+    # syndrome rows: lane i of row j is alpha^((i+1) j), lanes 2 delta.. zero
+    syn_rows = [_WORD.pack(bytes(gf_pow_alpha((i + 1) * j) if i < t else 0
+                                 for i in range(_WORD.n))) & _WORD.low
+                for j in range(P.n1)]
+
+    # g(X) = prod_{i=1..2 delta} (X - alpha^i), lane j = coefficient of X^j;
+    # syndrome row 1 holds the roots alpha^1 .. alpha^(2 delta)
+    g = 1
+    for root in _WORD.scalars(syn_rows[1])[:t]:
+        g = _WORD.reduce((g << 64) ^ g * (root + _NZ)) & _WORD.low
+
+    # parity_rows[m] = X^(m-k) = X^(255-k+m) mod g; parity = sum msg_m rows_m.
+    # Each step takes X * r and subtracts top * g, which clears lane 2 delta.
+    parity_rows = []
+    r = 1
+    for e in range(1, 255):
+        top = r >> (64 * (t - 1))
+        r = _WORD.reduce((r << 64) ^ g * (top + _NZ)) & _WORD.low
+        if e >= 255 - k:
+            parity_rows.append(r)
+
+    # Chien/Forney rows, one per riBM output lane i in [0, 2 delta]: lanes
+    # [0, k) evaluate the locator Lambda_(i-delta) at X_j^-1 = alpha^-j,
+    # lanes [k, 2k) its derivative (odd terms), lanes [2k, 3k) the
+    # modified evaluator Omega_i with the factor X_j^(-2 delta) folded in.
+    chien_rows = []
+    for i in range(t + 1):
+        v = bytearray(3 * k)
+        for j in range(k):
+            e = i - delta
+            if e >= 0:
+                v[j] = gf_pow_alpha(-j * e)
+                if e % 2:
+                    v[k + j] = gf_pow_alpha(-j * (e - 1))
+            else:
+                v[2 * k + j] = gf_pow_alpha(-j * (i + t))
+        chien_rows.append(_CHIEN.pack(bytes(v)) & _CHIEN.low)
+    return syn_rows, parity_rows, chien_rows
+
+
+_SYN_ROWS, _PARITY_ROWS, _CHIEN_ROWS = _rs_tables()
+
+# gf_muls of one rs_decode call as the cost model charges them: syndromes,
+# riBM, the three evaluations, then 11 products for each inverse (the a^254
+# chain; here a table select) and one for Y_j
+_DECODE_MULS = (P.n1 * 2 * P.delta + 4 * P.delta * (3 * P.delta + 1)
+                + P.k * ((P.delta + 1) + (P.delta + 1) // 2 + P.delta + 12))
 
 
 # Field inverses alpha^i -> alpha^-i, 0 -> 0, and the bytes a lane is compared to
@@ -231,13 +230,12 @@ def gf_mul_vec(rows: list[int], scalars: tuple[int, ...]) -> int:
 def gf_mul(a: int, b: int) -> int:
     """Lane-wise a*b of two k-lane vectors: a * x^t kept in the lanes where
     bit t of b is set, then reduced."""
-    msg = _RS.msg
-    one, g = msg.one, msg.guard
+    one, g = _MSG.one, _MSG.guard
     acc = 0
     for shift in range(0, 32, 4):           # 4t
         keep = (((b >> shift) & one) | g) * 0x0FFFFFFFFFFFFFFF
         acc ^= (a << shift) & keep
-    return msg.reduce(acc)
+    return _MSG.reduce(acc)
 
 
 def gf_inverse(values: bytes) -> bytes:
@@ -259,22 +257,22 @@ def rs_encode(msg: bytes, p: ParamSet) -> bytes:
     _hqc128_only(p)
     if len(msg) != P.k:
         raise ValueError(f"message must be {P.k} bytes")
-    acc = gf_mul_vec(_RS.parity_rows, _RS.msg.scalars(_RS.msg.pack(msg)))
+    acc = gf_mul_vec(_PARITY_ROWS, _MSG.scalars(_MSG.pack(msg)))
     counters.add("gf_muls", P.k * 2 * P.delta)
-    return msg + _RS.syn.unpack(_RS.syn.reduce(acc))
+    return msg + _WORD.unpack(_WORD.reduce(acc))[:2 * P.delta]
 
 
-def _syndromes(received: bytes) -> int:
-    """S_1 .. S_(2 delta) in lanes 0..2 delta - 1 of an riBM-sized vector."""
-    return _RS.bm.reduce(gf_mul_vec(_RS.syn_rows, _RS.word.scalars(_RS.word.pack(received))))
+def _syndromes(word: int) -> int:
+    """S_1 .. S_(2 delta) of a packed received word, in lanes 0..2 delta - 1."""
+    return _WORD.reduce(gf_mul_vec(_SYN_ROWS, _WORD.scalars(word)))
 
 
 def rs_syndromes(cw: np.ndarray, p: ParamSet) -> np.ndarray:
     """S_i = sum_j cw[j] alpha^((i+1) j) for i in [0, 2 delta), as uint8."""
     _hqc128_only(p)
-    syn = _syndromes(cw.astype(np.uint8).tobytes()) & _RS.syn.low
+    syn = _syndromes(_WORD.pack(cw.astype(np.uint8).tobytes()))
     counters.add("gf_muls", P.n1 * 2 * P.delta)
-    return np.frombuffer(_RS.syn.unpack(syn | _RS.syn.guard), dtype=np.uint8)
+    return np.frombuffer(_WORD.unpack(syn)[:2 * P.delta], dtype=np.uint8)
 
 
 def _ribm(syn: int) -> int:
@@ -287,8 +285,7 @@ def _ribm(syn: int) -> int:
     by masks. On return lanes delta..2 delta hold the locator Lambda and
     lanes 0..delta-1 the modified evaluator Omega.
     """
-    bm = _RS.bm
-    g = bm.guard
+    g = _WORD.guard
     d = syn | (1 << (64 * 3 * P.delta))
     theta = d
     gamma = 1
@@ -296,7 +293,7 @@ def _ribm(syn: int) -> int:
     for _ in range(2 * P.delta):
         d0 = d & 0xFFFFFFFF
         shifted = (d >> 64) | g
-        d = bm.reduce(shifted * (gamma + _NZ) ^ theta * (d0 + _NZ))
+        d = _WORD.reduce(shifted * (gamma + _NZ) ^ theta * (d0 + _NZ))
         swap = -((((d0 - 1) >> 63) + 1) & ((k >> 63) + 1))
         theta = (shifted & swap) | (theta & ~swap)
         gamma = (d0 & swap) | (gamma & ~swap)
@@ -315,24 +312,26 @@ def rs_decode(received: bytes, p: ParamSet) -> bytes:
     _hqc128_only(p)
     if len(received) != P.n1:
         raise ValueError(f"codeword must be {P.n1} bytes")
-    d = _ribm(_syndromes(received))
+    word = _WORD.pack(received)
+    d = _ribm(_syndromes(word))
 
     # Y_j = X_j^(-2 delta) Omega(X_j^-1) / Lambda'(X_j^-1) wherever
     # Lambda(X_j^-1) = 0, for the message positions j < k
-    msg = _RS.msg
-    acc = _RS.chien.reduce(gf_mul_vec(_RS.chien_rows, _RS.bm.scalars(d)))
+    low, g = _MSG.low, _MSG.guard
+    acc = _CHIEN.reduce(gf_mul_vec(_CHIEN_ROWS, _WORD.scalars(d)))
     width = 64 * P.k
-    locator = (acc & msg.low) | msg.guard
-    slope = ((acc >> width) & msg.low) | msg.guard
-    value = gf_mul(((acc >> 2 * width) & msg.low) | msg.guard,
-                   msg.pack(gf_inverse(msg.unpack(slope))))
+    locator = (acc & low) | g
+    slope = ((acc >> width) & low) | g
+    value = gf_mul(((acc >> 2 * width) & low) | g, _MSG.pack(gf_inverse(_MSG.unpack(slope))))
     nonzero = locator | (locator >> 16)
     nonzero |= nonzero >> 8
     nonzero |= nonzero >> 4
-    roots = ((nonzero & msg.one) ^ msg.one) | msg.guard
+    roots = ((nonzero & _MSG.one) ^ _MSG.one) | g
     errors = value & roots * 0x11111111
-    counters.add("gf_muls", _RS.decode_muls)
-    return msg.unpack((msg.pack(received[:P.k]) ^ errors) | msg.guard)
+    counters.add("gf_muls", _DECODE_MULS)
+    # the word's message lanes, at a length that does not follow their values
+    message = (word | g) & (low | g)
+    return _MSG.unpack((message ^ errors) | g)
 
 
 # ---------------------------------------------------------------------------

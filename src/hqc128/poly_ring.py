@@ -84,18 +84,21 @@ class SparsePoly:
     and the scatter index with directly.
 
     The constructor takes any int sequence and checks it with one vectorized
-    comparison of neighbours and its two ends against [0, n); the sampler,
-    whose output is sorted, distinct and below n by construction, builds its
-    result through `_trusted` without the check.
+    comparison of neighbours and its two ends against [0, n); what numpy does
+    not read as integers (floats, strings, bools, ints past 64 bits) is
+    rejected, not cast. The sampler, whose output is sorted, distinct and
+    below n by construction, builds its result through `_trusted` unchecked.
     """
 
     __slots__ = ("n", "support")
 
     def __init__(self, n: int, support):
-        array = np.array(support, dtype=np.intp)
+        array = np.array(support)
         if array.ndim != 1 or array.size and not (
-                0 <= array[0] and array[-1] < n and (array[1:] > array[:-1]).all()):
-            raise ValueError("support must be strictly increasing coordinates below n")
+                array.dtype.kind in "iu" and 0 <= array[0] and array[-1] < n
+                and (array[1:] > array[:-1]).all()):
+            raise ValueError("support must be strictly increasing integer coordinates below n")
+        array = array.astype(np.intp, copy=False)
         array.flags.writeable = False
         self.n = n
         self.support = array

@@ -97,9 +97,10 @@ def sample_fixed_weight(xof: Xof, weight: int, n: int) -> SparsePoly:
     last chunk is discarded. The number of draws is the documented
     data-dependent quantity of this technique; the work per draw is
     input-independent. The support is returned as a sorted intp array.
+    Raises ValueError before any squeeze unless 1 <= n <= 2^24 and 0 <= weight <= n.
     """
-    if weight > n:
-        raise ValueError("weight exceeds modulus")
+    if not (1 <= n <= 1 << 24 and 0 <= weight <= n):
+        raise ValueError("need 1 <= n <= 2^24 and 0 <= weight <= n")
     threshold = ((1 << 24) // n) * n
     count = max(weight, 1)
     decode = struct.Struct(f"<{count}I").unpack

@@ -89,7 +89,7 @@ def test_c02_ring_multiplication_oracle():
 def test_c03_gf256_exhaustive_equivalence():
     # the field multiplies the RS layer runs, on packed k-lane vectors: the
     # lane-wise product and the row-times-scalar sum with one row
-    lanes = codes._RS.msg
+    lanes = codes._MSG
     values = [bytes(range(i, i + lanes.n)) for i in range(0, 256, lanes.n)]
     packed = [lanes.pack(v) for v in values]
     spread = [s for v in packed for s in lanes.scalars(v)]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -199,6 +200,17 @@ def test_rs_corrects_fewer_than_delta_errors():
         for pos in rng.sample(range(P.n1), n_err):
             corrupted[pos] ^= rng.randrange(1, 256)
         assert rs_decode(bytes(corrupted), P) == msg
+
+
+def test_rs_decode_beyond_capability_is_pinned():
+    # random words sit beyond delta errors from any codeword, where the output
+    # is unspecified; it must still not change when the decoder is rewritten
+    rng = random.Random(0x5EED20)
+    digest = hashlib.sha3_256()
+    for _ in range(2000):
+        digest.update(rs_decode(rng.randbytes(P.n1), P))
+    assert digest.hexdigest() == (
+        "a5a4b75f97deae6558025d4541d757a300d8ff47068089503020461796f38c0f")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from hqc128 import codes
 from tests.gf_ref import EXP, LOG, gf_mul_table
 
-MSG = codes._RS.msg       # gf_mul works at the k-lane message width
+MSG = codes._MSG  # gf_mul works at the k-lane message width
 K = MSG.n
 ALL = bytes(range(256))
 CHUNKS = [ALL[i:i + K] for i in range(0, 256, K)]

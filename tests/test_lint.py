@@ -259,3 +259,16 @@ def test_supports_stay_index_arrays():
             elif isinstance(node, (ast.For, ast.comprehension)) and _is_support(node.iter):
                 bad.append(f"{path.name}:{node.iter.lineno}: for ... in {ast.unparse(node.iter)}")
     assert bad == []
+
+
+def test_code_widths_are_built_at_import():
+    # the RS layer computes at packed widths built once, at module level: a
+    # _Lanes built inside a function or class body of codes.py is built per
+    # call or per instance instead (a set: a method is walked with its class)
+    tree = ast.parse((SRC / "codes.py").read_text())
+    bad = {f"codes.py:{node.lineno}: {ast.unparse(node)}"
+           for scope in ast.walk(tree)
+           if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+           for node in ast.walk(scope)
+           if isinstance(node, ast.Call) and ast.unparse(node.func) == "_Lanes"}
+    assert sorted(bad) == []

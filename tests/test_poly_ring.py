@@ -66,6 +66,13 @@ def test_sparse_rejects_unsorted_support():
         for given in (support, list(support), np.array(support, dtype=np.intp)):
             with pytest.raises(ValueError):
                 SparsePoly(97, given)
+    # not integers: floats are not truncated, strings not parsed, a bool is
+    # not 1, and an int past 64 bits raises ValueError, not OverflowError;
+    # as a tuple, a list and the array numpy reads them as
+    for support in ((3.5, 7.9), ("3", "5"), (True,), (2**70,)):
+        for given in (support, list(support), np.array(support)):
+            with pytest.raises(ValueError):
+                SparsePoly(97, given)
 
 
 def test_sparse_support_is_a_read_only_copy():

@@ -244,6 +244,17 @@ def test_fixed_weight_weight_cap():
         sample_fixed_weight(Xof(b"x" * 40, 1), 10, 5)
 
 
+@pytest.mark.parametrize("weight, n", [(1, (1 << 24) + 3), (0, 0), (-2, 17669)],
+                         ids=["n-above-24-bits", "n-zero", "negative-weight"])
+def test_fixed_weight_rejects_bad_arguments(weight, n):
+    # checked before squeezing: above 2^24 every 24-bit candidate is rejected
+    # and the loop would run to the draw cap, and n = 0 would divide by zero
+    xof = Xof(b"x" * 40, 1)
+    with pytest.raises(ValueError):
+        sample_fixed_weight(xof, weight, n)
+    assert xof.squeeze(16) == Xof(b"x" * 40, 1).squeeze(16)
+
+
 def test_fixed_weight_draw_cap(monkeypatch):
     # 10 distinct coordinates below 10 need at least 10 draws
     monkeypatch.setattr(sampling, "MAX_SAMPLE_DRAWS", 5)
