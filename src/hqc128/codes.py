@@ -131,9 +131,11 @@ def _rs_tables() -> tuple[list[int], list[int], list[int]]:
     """The syndrome, parity and Chien/Forney rows, packed without guards."""
     k, delta, t = P.k, P.delta, 2 * P.delta
 
+    def powers(e: int, count: int) -> bytes:    # alpha^(e i) for i in [0, count)
+        return bytes(_EXP[e * i % 255] for i in range(count))
+
     # syndrome rows: lane i of row j is alpha^((i+1) j), lanes 2 delta.. zero
-    syn_rows = [_WORD.pack(bytes(gf_pow_alpha((i + 1) * j) if i < t else 0
-                                 for i in range(_WORD.n))) & _WORD.low
+    syn_rows = [_WORD.pack(powers(j, t + 1)[1:].ljust(_WORD.n, b"\0")) & _WORD.low
                 for j in range(P.n1)]
 
     # g(X) = prod_{i=1..2 delta} (X - alpha^i), lane j = coefficient of X^j;
@@ -142,15 +144,17 @@ def _rs_tables() -> tuple[list[int], list[int], list[int]]:
     for root in _WORD.scalars(syn_rows[1])[:t]:
         g = _WORD.reduce((g << 64) ^ g * (root + _NZ)) & _WORD.low
 
-    # parity_rows[m] = X^(m-k) = X^(255-k+m) mod g; parity = sum msg_m rows_m.
-    # Each step takes X * r and subtracts top * g, which clears lane 2 delta.
+    # parity = sum msg_m rows_m, row m = X^(m-k) mod g as g divides X^255 - 1.
+    # X^-1 = g_0^-1 (g - g_0) / X, g_0 = alpha^(delta (2 delta + 1)) the roots'
+    # product; r -> X^-1 r is r one lane down plus r_0 X^-1, run k times.
+    g0_inv = int(f"{gf_pow_alpha(-delta * (t + 1)):b}", 16)  # spread: binary read as hex
+    x_inv = _WORD.reduce((g >> 64) * (g0_inv + _NZ)) & _WORD.low
     parity_rows = []
     r = 1
-    for e in range(1, 255):
-        top = r >> (64 * (t - 1))
-        r = _WORD.reduce((r << 64) ^ g * (top + _NZ)) & _WORD.low
-        if e >= 255 - k:
-            parity_rows.append(r)
+    for _ in range(k):
+        r = _WORD.reduce((r >> 64) ^ x_inv * ((r & 0xFFFFFFFF) + _NZ)) & _WORD.low
+        parity_rows.append(r)
+    parity_rows.reverse()
 
     # Chien/Forney rows, one per riBM output lane i in [0, 2 delta]: lanes
     # [0, k) evaluate the locator Lambda_(i-delta) at X_j^-1 = alpha^-j,
@@ -158,16 +162,10 @@ def _rs_tables() -> tuple[list[int], list[int], list[int]]:
     # modified evaluator Omega_i with the factor X_j^(-2 delta) folded in.
     chien_rows = []
     for i in range(t + 1):
-        v = bytearray(3 * k)
-        for j in range(k):
-            e = i - delta
-            if e >= 0:
-                v[j] = gf_pow_alpha(-j * e)
-                if e % 2:
-                    v[k + j] = gf_pow_alpha(-j * (e - 1))
-            else:
-                v[2 * k + j] = gf_pow_alpha(-j * (i + t))
-        chien_rows.append(_CHIEN.pack(bytes(v)) & _CHIEN.low)
+        e = i - delta
+        lanes = (powers(-e, k) + (powers(1 - e, k) if e % 2 else bytes(k)) + bytes(k)
+                 if e >= 0 else bytes(2 * k) + powers(-(i + t), k))
+        chien_rows.append(_CHIEN.pack(lanes) & _CHIEN.low)
     return syn_rows, parity_rows, chien_rows
 
 
@@ -270,6 +268,8 @@ def _syndromes(word: int) -> int:
 def rs_syndromes(cw: np.ndarray, p: ParamSet) -> np.ndarray:
     """S_i = sum_j cw[j] alpha^((i+1) j) for i in [0, 2 delta), as uint8."""
     _hqc128_only(p)
+    if not ((cw >= 0) & (cw <= 0xFF)).all():
+        raise ValueError("symbols must be in 0..255")
     syn = _syndromes(_WORD.pack(cw.astype(np.uint8).tobytes()))
     counters.add("gf_muls", P.n1 * 2 * P.delta)
     return np.frombuffer(_WORD.unpack(syn)[:2 * P.delta], dtype=np.uint8)

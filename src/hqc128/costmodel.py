@@ -183,12 +183,14 @@ CATEGORIES = {
 }
 
 
-@dataclass(slots=True, kw_only=True)
 class CostProfile(Counters):
     """Primitive-invocation counters and wall time for one executed phase."""
 
-    phase: str
-    wall_time: float = 0.0
+    __slots__ = ("phase", "wall_time")
+
+    def __init__(self, phase: str, wall_time: float = 0.0, **counts: int):
+        super().__init__(**counts)
+        self.phase, self.wall_time = phase, wall_time
 
     def attributed_cycles(self) -> dict[str, float]:
         """Software-equivalent cycles per category (counts x unit weights)."""
@@ -294,7 +296,7 @@ def render_profile_report(profiles: list[CostProfile]) -> str:
     header = f"{'counter':<22}" + "".join(f"{p.phase:>14}" for p in profiles)
     lines.append(header)
     lines.append("-" * len(header))
-    for name in (f.name for f in fields(Counters)):
+    for name in Counters.__slots__:
         lines.append(
             f"{name:<22}" + "".join(f"{getattr(p, name):>14}" for p in profiles)
         )

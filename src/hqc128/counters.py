@@ -1,26 +1,34 @@
 """Primitive-invocation counters.
 
-`Counters` is the one list of the six counters. A counter context is activated
-per run (see :mod:`hqc128.costmodel`); when no context is active the hook
-`add` is a cheap no-op, and instrumentation never changes any computed value.
+`Counters.__slots__` is the one list of the six counters, each 0 unless
+given. A counter context is activated per run (see :mod:`hqc128.costmodel`);
+when no context is active the hook `add` is a cheap no-op, and
+instrumentation never changes any computed value.
 """
 
 from __future__ import annotations
 
 import contextlib
 from contextvars import ContextVar
-from dataclasses import dataclass
 
 
-@dataclass(slots=True)
 class Counters:
-    keccak_permutations: int = 0
-    gf_muls: int = 0
-    ring_word_ops: int = 0      # accumulator words read+written in ring mults
-    bytes_copied: int = 0       # once per logical buffer where it is made: XOF and
-                                # hash input/output, the codeword mG, wire objects
-    samples_drawn: int = 0      # 24-bit candidates drawn, rejected ones included
-    rm_blocks_decoded: int = 0
+    __slots__ = ("keccak_permutations", "gf_muls",
+                 "ring_word_ops",       # accumulator words read+written in ring mults
+                 "bytes_copied",        # once per logical buffer where it is made: XOF and
+                                        # hash input/output, the codeword mG, wire objects
+                 "samples_drawn",       # 24-bit candidates drawn, rejected ones included
+                 "rm_blocks_decoded")
+
+    def __init__(self, **counts: int):
+        for name in Counters.__slots__:
+            setattr(self, name, counts.pop(name, 0))
+        if counts:
+            raise TypeError(f"unknown counters: {', '.join(counts)}")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in Counters.__slots__)
 
 
 _active: ContextVar[Counters | None] = ContextVar("hqc128_counters", default=None)

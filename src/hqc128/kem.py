@@ -24,8 +24,6 @@ adds its seed to what the embedded public key counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import counters
 from .codes import P, code_decode, code_encode
 from .poly_ring import (DensePoly, FormatError, SparsePoly, ct_equal, dense_from_sparse,
@@ -53,25 +51,26 @@ class DecapsulationFailure(Exception):
     """The re-encryption check rejected the ciphertext."""
 
 
-@dataclass
+# Plain mutable records: they compare by identity, so compare their wire bytes.
 class PublicKey:
-    seed_h: bytes
-    s: DensePoly
-    h: DensePoly        # regenerated from seed_h; kept to avoid re-expansion
+    __slots__ = ("seed_h", "s", "h")  # h: regenerated from seed_h; kept to avoid re-expansion
+
+    def __init__(self, seed_h: bytes, s: DensePoly, h: DensePoly):
+        self.seed_h, self.s, self.h = seed_h, s, h
 
 
-@dataclass
 class SecretKey:
-    seed_sk: bytes
-    y: SparsePoly
-    pk: PublicKey       # needed for the re-encryption in decaps
+    __slots__ = ("seed_sk", "y", "pk")  # pk: needed for the re-encryption in decaps
+
+    def __init__(self, seed_sk: bytes, y: SparsePoly, pk: PublicKey):
+        self.seed_sk, self.y, self.pk = seed_sk, y, pk
 
 
-@dataclass
 class Ciphertext:
-    u: DensePoly
-    v: DensePoly
-    d: bytes
+    __slots__ = ("u", "v", "d")
+
+    def __init__(self, u: DensePoly, v: DensePoly, d: bytes):
+        self.u, self.v, self.d = u, v, d
 
 
 def _check_seed(seed: bytes) -> None:

@@ -8,13 +8,11 @@ place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ParamSet:
-    """All HQC constants in one record; only the HQC-128 values are
-    constructed."""
+class ParamSet(NamedTuple):
+    """All HQC constants in one tuple; only the HQC-128 values are constructed."""
 
     n: int                  # ring degree: R = F2[X]/(X^n - 1)
     n1: int                 # Reed-Solomon code length in GF(2^8) symbols
@@ -49,14 +47,5 @@ class ParamSet:
 
 def hqc128() -> ParamSet:
     """The NIST level 1 parameter set."""
-    return ParamSet(
-        n=17669,
-        n1=46,
-        k=16,
-        rm_multiplicity=3,
-        w=66,
-        w_r=75,
-        w_e=75,
-        seed_bytes=40,
-        ss_bytes=64,
-    )
+    return ParamSet(n=17669, n1=46, k=16, rm_multiplicity=3, w=66, w_r=75, w_e=75,
+                    seed_bytes=40, ss_bytes=64)

@@ -84,10 +84,10 @@ class SparsePoly:
     and the scatter index with directly.
 
     The constructor takes any int sequence and checks it with one vectorized
-    comparison of neighbours and its two ends against [0, n); what numpy does
-    not read as integers (floats, strings, bools, ints past 64 bits) is
-    rejected, not cast. The sampler, whose output is sorted, distinct and
-    below n by construction, builds its result through `_trusted` unchecked.
+    comparison of neighbours and its two ends against [0, n); floats,
+    strings, bools (also among ints) and ints past 64 bits are rejected, not
+    cast. The sampler, whose output is sorted, distinct and below n by
+    construction, builds its result through `_trusted` unchecked.
     """
 
     __slots__ = ("n", "support")
@@ -98,6 +98,8 @@ class SparsePoly:
                 array.dtype.kind in "iu" and 0 <= array[0] and array[-1] < n
                 and (array[1:] > array[:-1]).all()):
             raise ValueError("support must be strictly increasing integer coordinates below n")
+        if any(isinstance(c, (bool, np.bool_)) for c in support):
+            raise ValueError("support must not hold bools")
         array = array.astype(np.intp, copy=False)
         array.flags.writeable = False
         self.n = n

@@ -22,6 +22,7 @@ from hqc128.codes import (
 from tests.codes_ref import code_encode_ref, rm_blocks_float
 from tests.ring_ref import as_int, words
 from tests.gf_ref import EXP, gf_mul_table
+from tests.rs_ref import rs_encode_ref
 
 
 def syndrome_oracle(cw: bytes) -> list[int]:
@@ -105,6 +106,14 @@ def test_rs_encode_is_systematic():
     assert cw[:P.k] == msg
 
 
+def test_rs_encode_matches_textbook_division():
+    # the k unit messages read each parity row on its own
+    rng = random.Random(217)
+    units = [bytes(m) + b"\x01" + bytes(P.k - 1 - m) for m in range(P.k)]
+    for msg in units + [rng.randbytes(P.k) for _ in range(400)]:
+        assert rs_encode(msg, P) == rs_encode_ref(msg)
+
+
 def test_rs_encode_rejects_bad_length():
     with pytest.raises(ValueError):
         rs_encode(b"\x00" * (P.k + 1), P)
@@ -127,6 +136,17 @@ def test_rs_syndromes_match_oracle_on_non_codewords():
         got = rs_syndromes(np.frombuffer(word, dtype=np.uint8), P)
         assert got.dtype == np.uint8
         assert list(got) == syndrome_oracle(word)
+
+
+def test_rs_syndromes_rejects_symbols_outside_a_byte():
+    # a cast to uint8 would read 257 as 1 and -1 as 255
+    for value in (257, -1):
+        word = np.zeros(P.n1, dtype=np.int64)
+        word[0] = value
+        with pytest.raises(ValueError):
+            rs_syndromes(word, P)
+    word[0] = 255
+    assert list(rs_syndromes(word, P)) == syndrome_oracle(bytes(word.astype(np.uint8)))
 
 
 def test_rs_decode_counts_the_same_products_for_any_error_count():

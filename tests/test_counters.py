@@ -1,6 +1,7 @@
 import pytest
 
 from hqc128 import counters
+from hqc128.costmodel import CostProfile
 from hqc128.counters import Counters, collecting
 
 
@@ -43,3 +44,13 @@ def test_misspelt_counter_name_raises_inside_a_block():
     with collecting(Counters()):
         with pytest.raises(AttributeError):
             counters.add("gf_mul", 1)
+
+
+def test_record_takes_only_counter_names_and_compares_by_type_and_counts():
+    with pytest.raises(TypeError):
+        Counters(gf_mul=1)
+    with pytest.raises(TypeError):
+        CostProfile(phase="keygen", gf_mul=1)
+    assert Counters(gf_muls=3) == Counters(gf_muls=3) != Counters(gf_muls=4)
+    assert CostProfile(phase="keygen", gf_muls=3).gf_muls == 3
+    assert Counters() != CostProfile(phase="keygen")

@@ -2,6 +2,8 @@
 
 import ast
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -27,7 +29,7 @@ def test_src_has_no_assert_statements():
 def test_counter_hooks_name_a_counters_field():
     # a misspelt name raises only when a counting context is active, and no
     # profiled phase reaches some hooks (codes.rs_syndromes), so check every call
-    names = {f.name for f in fields(Counters)}
+    names = set(Counters.__slots__)
     bad = []
     for path in [*sorted(SRC.glob("*.py")), ROOT / "tests" / "keccak_ref.py"]:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -58,7 +60,7 @@ def test_cost_categories_cover_every_unit_and_baseline_cell(capsys):
         assert all(len(o) == 1 for o in owners.values()), (phase, owners)
     for row in rows:
         assert row.driven in row.cells and row.anchor in cm.PHASES
-        assert row.counter in {f.name for f in fields(Counters)}
+        assert row.counter in Counters.__slots__
     # each unit is a `hqc128 costmodel` flag that turns on that unit alone
     for unit in units:
         assert cli.main(["costmodel", f"--{unit.replace('_', '-')}"]) == 0
@@ -272,3 +274,13 @@ def test_code_widths_are_built_at_import():
            for node in ast.walk(scope)
            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_Lanes"}
     assert sorted(bad) == []
+
+
+def test_import_builds_no_dataclasses():
+    # the records are plain classes and a NamedTuple: `import hqc128` in a
+    # fresh interpreter, after numpy, does not load the dataclasses module
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy, hqc128; "
+             "print('dataclasses' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-c", probe, str(SRC.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"]

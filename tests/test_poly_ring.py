@@ -73,6 +73,12 @@ def test_sparse_rejects_unsorted_support():
         for given in (support, list(support), np.array(support)):
             with pytest.raises(ValueError):
                 SparsePoly(97, given)
+    # a bool among ints, which numpy reads as an int64 array of 0 and 1: as a
+    # tuple and a list
+    for support in ((0, True), (True, 5)):
+        for given in (support, list(support)):
+            with pytest.raises(ValueError):
+                SparsePoly(97, given)
 
 
 def test_sparse_support_is_a_read_only_copy():
