@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import fields
 
 from . import costmodel, kem
 from .sampling import DOMAIN_COINS, DOMAIN_KAT_CHAIN, Xof
@@ -180,9 +179,8 @@ def cmd_profile(args) -> int:
 
 def cmd_costmodel(args) -> int:
     seed = _seed_or_default(args.seed, "--seed", bytes)
-    cfg = costmodel.AcceleratorConfig(**{
-        u.name: args.all or getattr(args, u.name)
-        for u in fields(costmodel.AcceleratorConfig)})
+    cfg = costmodel.AcceleratorConfig(*(
+        args.all or getattr(args, u) for u in costmodel.AcceleratorConfig._fields))
     profiles = [costmodel.profile(ph, seed) for ph in costmodel.PHASES]
     print(costmodel.render_costmodel_report(cfg, profiles))
     return EXIT_OK
@@ -236,8 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pro.set_defaults(func=cmd_profile)
 
     cst = sub.add_parser("costmodel", help="accelerator cycle estimates")
-    for unit in fields(costmodel.AcceleratorConfig):
-        cst.add_argument(f"--{unit.name.replace('_', '-')}", action="store_true")
+    for unit in costmodel.AcceleratorConfig._fields:
+        cst.add_argument(f"--{unit.replace('_', '-')}", action="store_true")
     cst.add_argument("--all", action="store_true", help="enable every unit")
     cst.add_argument("--seed", help="40-byte hex profiling seed")
     cst.set_defaults(func=cmd_costmodel)

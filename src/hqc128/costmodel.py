@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from . import kem
@@ -105,10 +104,9 @@ def fit_dma_factor() -> tuple[float, float]:
 DMA_FACTOR_RAW, DMA_FACTOR_DEFAULT = fit_dma_factor()
 
 
-@dataclass(frozen=True)
-class AcceleratorConfig:
+class AcceleratorConfig(NamedTuple):
     """Which hardware units the estimate assumes; all 32 combinations are
-    legal."""
+    legal. The field order is the order of the ablation rows and the flags."""
 
     dma: bool = False
     r_unit: bool = False
@@ -122,10 +120,10 @@ class AcceleratorConfig:
 
     @classmethod
     def all(cls) -> "AcceleratorConfig":
-        return cls(**{f.name: True for f in fields(cls)})
+        return cls(*(True,) * len(cls._fields))
 
     def describe(self) -> str:
-        on = [f.name for f in fields(self) if getattr(self, f.name)]
+        on = [name for name, value in zip(self._fields, self) if value]
         return "+".join(on) if on else "software-only"
 
 
@@ -241,8 +239,7 @@ def unit_weights() -> dict[str, float]:
             for name, row in CATEGORIES.items()}
 
 
-@dataclass
-class PhaseEstimate:
+class PhaseEstimate(NamedTuple):
     phase: str
     categories: dict[str, float]
     formula_sheet: list[str]
@@ -348,8 +345,8 @@ def render_costmodel_report(cfg: AcceleratorConfig,
     header = f"{'configuration':<20}" + "".join(f"{p.phase:>16}" for p in profiles)
     lines += [header, "-" * len(header)]
     ablation = [("software baseline", AcceleratorConfig.none()),
-                *((f"+ {u.name.replace('_', '-')}", AcceleratorConfig(**{u.name: True}))
-                  for u in fields(AcceleratorConfig)),
+                *((f"+ {u.replace('_', '-')}", AcceleratorConfig(**{u: True}))
+                  for u in AcceleratorConfig._fields),
                 ("all units", AcceleratorConfig.all())]
     for label, unit_cfg in ablation:
         totals = [(estimate_cycles(unit_cfg, p).total, SW_TOTAL[p.phase]) for p in profiles]

@@ -5,9 +5,8 @@ KeyGen expands one seed into (seed_h, seed_sk); h is a uniform ring element,
 (x, y) fixed-weight secrets, and s = x + h*y hides them. Encryption samples
 (e, r1, r2) from theta, sends u = r1 + h*r2 and v = mG + s*r2 + e.
 Decapsulation decrypts, re-derives theta' = G(m'), re-encrypts, and only
-releases K(m', c) when the recomputed (u', v', d') matches the received
-ciphertext; all three comparisons go through hmac.compare_digest and always
-execute.
+releases K(m', c) when the recomputed u' || v' || d' matches the received
+ciphertext; one hmac.compare_digest call compares all of it.
 
 Wire formats (normative, byte-exact):
     pk = seed_h (40) || s (2209)                 -> PK_BYTES = 2249
@@ -140,21 +139,17 @@ def encaps(pk: PublicKey, coins: bytes) -> tuple[Ciphertext, bytes]:
 def decaps(sk: SecretKey, ct: Ciphertext) -> bytes:
     """Decapsulate; raises DecapsulationFailure on any mismatch.
 
-    The three comparisons (u, v, d) all run to completion over the full
-    serialized length before the verdict is combined; they compare the held
-    wire bytes.
+    One comparison runs over the whole serialized ciphertext, u || v || d,
+    before the verdict; it compares the held wire bytes.
     """
     m2 = pke_decrypt(sk, ct.u, ct.v)
     theta2 = hash_g(m2, P.seed_bytes)
     u2, v2 = pke_encrypt(sk.pk, m2, theta2)
     d2 = hash_h(m2)
-    u_bytes, v_bytes = ct.u.to_bytes(), ct.v.to_bytes()
-    ok_u = ct_equal(u_bytes, u2.to_bytes())
-    ok_v = ct_equal(v_bytes, v2.to_bytes())
-    ok_d = ct_equal(ct.d, d2)
-    if not (ok_u & ok_v & ok_d):
+    c = ct.u.to_bytes() + ct.v.to_bytes()
+    if not ct_equal(c + ct.d, u2.to_bytes() + v2.to_bytes() + d2):
         raise DecapsulationFailure("re-encryption check failed")
-    return hash_k(m2, u_bytes + v_bytes, P.ss_bytes)
+    return hash_k(m2, c, P.ss_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,6 @@ class DensePoly:
             and self.data == other.data
         )
 
-    __hash__ = None
-
     def to_bytes(self) -> bytes:
         """The held ceil(n/8) wire bytes."""
         return self.data
@@ -120,8 +118,6 @@ class SparsePoly:
             and self.n == other.n
             and np.array_equal(self.support, other.support)
         )
-
-    __hash__ = None
 
 
 def dense_from_sparse(s: SparsePoly) -> np.ndarray:

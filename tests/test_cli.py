@@ -279,3 +279,27 @@ def test_costmodel_all_prints_improvements():
     assert "dma_factor" in res.stdout
     for phase in ("keygen", "encaps", "decaps"):
         assert f"{phase}.total=" in res.stdout
+
+
+# SHA3-256 of the stdout of each report with its `wall_time_s` line removed:
+# the formula sheet, the attribution shares and every `phase.category=` line
+# are pinned, not only the totals.
+REPORT_SHA3_256 = {
+    "costmodel": "34ba97af0a30a98f1bc737af68dce00f71428ca1a22d47c0e567c5b7e36eb936",
+    "costmodel --all": "0a9f4854c61629a2ffbc0a501db5673236b7332fb01b80e2999bbd77df3a59d3",
+    "costmodel --dma": "ae723c0c6dd65f2e249be29ce49cbf812d705ecfc5c769c6a565d8c6899cd01f",
+    "costmodel --r-unit": "7dad17b9ce870be38e080e4f0b4c28f606ab018e7bbf8e4bc568f28bee392f40",
+    "costmodel --sampling-unit":
+        "726f333a62bf9d9754424302be66dee4133286dd53732ae89605c92a2774cc02",
+    "costmodel --rm-decoder": "93120e1fb163a2cc8dadd22dfc132dea0a207c95b292e4856b0404e2284b6f49",
+    "costmodel --gf-insn": "d9131277da47a870156df17c4720af1e176f4798c19a7e5676da6f9d59b8c923",
+    "profile": "bacd289e25cbdf3cdc40eda205258828079c5f5c2cf70a7e66794c5d81385a6f",
+}
+
+
+@pytest.mark.parametrize("command", REPORT_SHA3_256)
+def test_report_text_matches_pinned_digest(command, capsys):
+    assert cli.main(command.split()) == 0
+    text = "".join(line for line in capsys.readouterr().out.splitlines(keepends=True)
+                   if not line.startswith("wall_time_s"))
+    assert hashlib.sha3_256(text.encode()).hexdigest() == REPORT_SHA3_256[command]

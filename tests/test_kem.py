@@ -145,7 +145,7 @@ def test_decaps_wrong_key_rejects():
 
 
 def test_decaps_runs_all_three_comparisons(monkeypatch):
-    # even with the first comparison already failing, u, v and d are all
+    # even with u already differing, the whole ciphertext u || v || d is
     # compared before the verdict
     pk, sk = make_keypair(bytes(40))
     ct, _ = kem.encaps(pk, bytes(range(40)))
@@ -155,7 +155,7 @@ def test_decaps_runs_all_three_comparisons(monkeypatch):
     monkeypatch.setattr(kem, "ct_equal", lambda a, b: calls.append(len(a)) or real(a, b))
     with pytest.raises(kem.DecapsulationFailure):
         kem.decaps(sk, ct)
-    assert calls == [P.n_bytes, P.n_bytes, 64]
+    assert calls == [kem.CT_BYTES]
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +281,47 @@ def test_malformed_ciphertexts_raise_only_format_or_decapsulation_errors():
         except kem.DecapsulationFailure:
             outcomes["rejected"] += 1
     assert outcomes["rejected"] >= 150 and outcomes["format"] >= 150
+
+
+@pytest.mark.parametrize("key, parse, serialize, seed", [
+    ("pk", kem.deserialize_pk, kem.serialize_pk, 304),
+    ("sk", kem.deserialize_sk, kem.serialize_sk, 305),
+])
+def test_malformed_keys_raise_only_format_errors(key, parse, serialize, seed):
+    # 400 random blobs per key parser: wrong lengths, right-length noise with
+    # pad bits set and with them cleared, and honest keys with bytes
+    # overwritten at random places; whatever parses re-serializes to itself
+    pk, sk = make_keypair(bytes(40))
+    honest = serialize({"pk": pk, "sk": sk}[key])
+    assert serialize(parse(honest)) == honest
+    size = len(honest)
+    rng = random.Random(seed)
+    wrong_lengths = [n for n in range(2 * size) if n != size]
+    outcomes = {kind: {"parsed": 0, "format": 0} for kind in range(4)}
+    for case in range(400):
+        kind = case % 4
+        if kind == 0:
+            blob = rng.randbytes(rng.choice(wrong_lengths))
+        elif kind in (1, 2):
+            blob = bytearray(rng.randbytes(size))
+            if kind == 1:
+                blob[-1] |= 1 << rng.randrange(P.n % 8, 8)
+            else:
+                blob[-1] &= (1 << P.n % 8) - 1
+            blob = bytes(blob)
+        else:
+            blob = bytearray(honest)
+            for _ in range(rng.randrange(1, 9)):
+                blob[rng.randrange(len(blob))] = rng.randrange(256)
+            blob = bytes(blob)
+        try:
+            assert serialize(parse(blob)) == blob
+            outcomes[kind]["parsed"] += 1
+        except kem.FormatError:
+            outcomes[kind]["format"] += 1
+    assert outcomes[0] == outcomes[1] == {"parsed": 0, "format": 100}
+    assert outcomes[2] == {"parsed": 100, "format": 0}
+    assert outcomes[3]["parsed"] >= 90
 
 
 def test_kem_accumulators_match_the_int_path(monkeypatch):
