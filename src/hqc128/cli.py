@@ -13,6 +13,7 @@ import sys
 from collections.abc import Callable
 
 from . import costmodel, kem
+from .params import P
 from .sampling import DOMAIN_COINS, DOMAIN_KAT_CHAIN, Xof
 
 EXIT_OK = 0
@@ -52,8 +53,8 @@ def _seed_or_default(hex_seed: str | None, what: str,
                      default: Callable[[int], bytes]) -> bytes:
     """The parsed hex seed, or default(seed length) when none is given."""
     if hex_seed is None:
-        return default(kem.P.seed_bytes)
-    return _parse_hex(hex_seed, kem.P.seed_bytes, what)
+        return default(P.seed_bytes)
+    return _parse_hex(hex_seed, P.seed_bytes, what)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +96,7 @@ def cmd_decaps(args) -> int:
 
 def _kat_record(rec_seed: bytes) -> dict[str, bytes]:
     pk, sk = kem.keygen(rec_seed)
-    coins = Xof(rec_seed, DOMAIN_COINS).squeeze(kem.P.seed_bytes)
+    coins = Xof(rec_seed, DOMAIN_COINS).squeeze(P.seed_bytes)
     ct, ss = kem.encaps(pk, coins)
     return {
         "seed": rec_seed,
@@ -109,12 +110,12 @@ def _kat_record(rec_seed: bytes) -> dict[str, bytes]:
 def cmd_kat(args) -> int:
     if args.count <= 0:
         raise ValueError("--count must be positive")
-    master_seed = _parse_hex(args.seed, kem.P.seed_bytes, "--seed")
+    master_seed = _parse_hex(args.seed, P.seed_bytes, "--seed")
     chain = Xof(master_seed, DOMAIN_KAT_CHAIN)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(f"# hqc128 known-answer records ({args.count})\n\n")
         for i in range(args.count):
-            record = _kat_record(chain.squeeze(kem.P.seed_bytes))
+            record = _kat_record(chain.squeeze(P.seed_bytes))
             fh.write(f"count = {i}\n")
             for name in ("seed", "pk", "sk", "ct", "ss"):
                 fh.write(f"{name} = {record[name].hex()}\n")
@@ -151,7 +152,7 @@ def cmd_kat_verify(args) -> int:
     for record in records:
         count = record.get("count", "?")
         try:
-            rec_seed = _parse_hex(record["seed"], kem.P.seed_bytes, "seed")
+            rec_seed = _parse_hex(record["seed"], P.seed_bytes, "seed")
             expect = {name: bytes.fromhex(record[name]) for name in ("pk", "sk", "ct", "ss")}
         except (KeyError, ValueError) as exc:
             raise ValueError(f"record {count}: malformed: {exc}") from exc

@@ -25,6 +25,9 @@ magnitudes at the k message positions only, with a branch-free mask that
 keeps the corrections at roots; its inverses are a full-scan table select.
 Beyond delta symbol errors its output is unspecified and the KEM's
 re-encryption check is the failure detector.
+
+Sizes are HQC-128's, from ``params.P``. The concatenated code exchanges ring
+elements as ``DensePoly`` bytes; their word layout is left to ``poly_ring``.
 """
 
 from __future__ import annotations
@@ -34,10 +37,8 @@ import struct
 import numpy as np
 
 from . import counters
-from .params import ParamSet, hqc128
-
-# HQC-128, the one parameter set, built once; kem imports it from here.
-P = hqc128()
+from .params import P, ParamSet, check
+from .poly_ring import DensePoly
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +213,7 @@ _SYLVESTER = _sylvester()
 # Reed-Solomon layer
 #
 # rs_encode, rs_decode, rm_encode and rs_syndromes keep a record argument
-# because perfbench/ calls them as f(x, P); every size is read from P.
+# because perfbench/ calls them as f(x, P); params.check admits only P.
 
 
 # rs_* call these three through the module globals, where perfbench/spans.py wraps them
@@ -244,15 +245,10 @@ def gf_inverse(values: bytes) -> bytes:
     return ((a[:, None] == _BYTES).astype(np.float32) @ _INV).astype(np.uint8).tobytes()
 
 
-def _hqc128_only(p: object) -> None:
-    if p != P:
-        raise ValueError("the code supports the HQC-128 parameter set only")
-
-
 def rs_encode(msg: bytes, p: ParamSet) -> bytes:
     """Systematic codeword: message symbols, then 2*delta parity symbols
     (k * 2 delta field products)."""
-    _hqc128_only(p)
+    check(p)
     if len(msg) != P.k:
         raise ValueError(f"message must be {P.k} bytes")
     acc = gf_mul_vec(_PARITY_ROWS, _MSG.scalars(_MSG.pack(msg)))
@@ -267,7 +263,7 @@ def _syndromes(word: int) -> int:
 
 def rs_syndromes(cw: np.ndarray, p: ParamSet) -> np.ndarray:
     """S_i = sum_j cw[j] alpha^((i+1) j) for i in [0, 2 delta), as uint8."""
-    _hqc128_only(p)
+    check(p)
     if not ((cw >= 0) & (cw <= 0xFF)).all():
         raise ValueError("symbols must be in 0..255")
     syn = _syndromes(_WORD.pack(cw.astype(np.uint8).tobytes()))
@@ -309,7 +305,7 @@ def rs_decode(received: bytes, p: ParamSet) -> bytes:
     k * (2 delta + 13 + floor((delta + 1) / 2)) (Chien, Forney and the a^254
     inverse chain, here a table select), 4,956 for HQC-128.
     """
-    _hqc128_only(p)
+    check(p)
     if len(received) != P.n1:
         raise ValueError(f"codeword must be {P.n1} bytes")
     word = _WORD.pack(received)
@@ -351,7 +347,7 @@ def _rm_blocks(symbols: np.ndarray) -> np.ndarray:
 
 def rm_encode(symbol: int, p: ParamSet) -> bytes:
     """Duplicated RM(1,7) block: multiplicity copies of the 128-bit word."""
-    _hqc128_only(p)
+    check(p)
     if not 0 <= symbol <= 0xFF:
         raise ValueError("symbol must be one byte")
     return _rm_blocks(np.array([symbol], dtype=np.uint8)).tobytes()
@@ -384,22 +380,22 @@ def _decode_blocks(bits: np.ndarray) -> np.ndarray:
 # Concatenated code
 
 
-def code_encode(m: bytes) -> np.ndarray:
-    """mG as n1*n2/64 '<u8' words: RS-encode, RM-encode each symbol, blocks
-    in order; the caller XORs them into the low words of a ring result."""
-    words = _rm_blocks(np.frombuffer(rs_encode(m, P), dtype=np.uint8)).reshape(-1)
-    counters.add("bytes_copied", words.nbytes)
-    return words
+def code_encode(m: bytes) -> DensePoly:
+    """mG as a ring element: RS-encode, RM-encode each symbol, blocks in
+    order in the low n1*n2/8 bytes, zero above."""
+    blocks = _rm_blocks(np.frombuffer(rs_encode(m, P), dtype=np.uint8)).tobytes()
+    counters.add("bytes_copied", len(blocks))
+    return DensePoly(P.n, blocks.ljust(P.n_bytes, b"\0"))
 
 
-def code_decode(noisy: np.ndarray) -> bytes:
-    """Read the first n1*n2/8 bytes of the '<u8' words `noisy`, ML-decode
-    each block, RS-decode.
+def code_decode(noisy: DensePoly) -> bytes:
+    """Read the first n1*n2/8 bytes of `noisy`, ML-decode each block,
+    RS-decode.
 
     Bits at positions >= n1*n2 are ignored. Uncorrectable noise yields a
     wrong message silently.
     """
-    raw = noisy.view(np.uint8)[:P.n1 * P.n2 // 8]
+    raw = np.frombuffer(noisy.data, dtype=np.uint8, count=P.n1 * P.n2 // 8)
     bits = np.unpackbits(raw, bitorder="little")
     symbols = _decode_blocks(bits.reshape(P.n1, P.rm_multiplicity, 128))
     # through the module global, where the traced benchmark wraps it

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from . import kem
 from .counters import Counters, collecting
-from .params import ParamSet
+from .params import P, ParamSet, check
 from .sampling import DOMAIN_COINS, Xof
 
 PHASES = ("keygen", "encaps", "decaps")
@@ -152,12 +152,12 @@ R_UNIT_CYCLES_PER_WORD = 2
 R_UNIT_COORD_OVERHEAD_CYCLES = 2    # address setup per coordinate
 # One R-unit coordinate is 2 * (words_n + 1) ring word ops and costs
 # 2 * words_n + 2 cycles, so the unit spends one cycle per ring word op.
-_R_COORD_CYCLES = R_UNIT_CYCLES_PER_WORD * kem.P.words_n + R_UNIT_COORD_OVERHEAD_CYCLES
+_R_COORD_CYCLES = R_UNIT_CYCLES_PER_WORD * P.words_n + R_UNIT_COORD_OVERHEAD_CYCLES
 
 CATEGORIES = {
     "arithmetic_r": Category(
         ("arithmetic_r",), "arithmetic_r", "ring_word_ops", "keygen", "r_unit",
-        _R_COORD_CYCLES / (2 * (kem.P.words_n + 1)),
+        _R_COORD_CYCLES / (2 * (P.words_n + 1)),
         "coords = ring_word_ops / (2 * (words_n + 1)) at"
         f" {R_UNIT_CYCLES_PER_WORD} * words_n + {R_UNIT_COORD_OVERHEAD_CYCLES}"
         f" = {_R_COORD_CYCLES} each"),
@@ -202,18 +202,17 @@ class CostProfile(Counters):
         return sorted(attributed, key=attributed.get, reverse=True)
 
 
-def profile(phase: str, seed: bytes, p: ParamSet | None = None) -> CostProfile:
+def profile(phase: str, seed: bytes, p: ParamSet = P) -> CostProfile:
     """Execute one phase with counting enabled; setup runs uncounted.
 
     Instrumentation only accumulates integers, so profiled and unprofiled
     executions produce byte-identical cryptographic outputs. ``p`` may only
-    be the KEM's own parameter set, ``kem.P``.
+    be HQC-128, ``params.P``; ``params.check`` raises ValueError otherwise.
     """
-    if p is not None and p != kem.P:
-        raise ValueError("the KEM supports the HQC-128 parameter set only")
+    check(p)
     if phase not in PHASES:
         raise ValueError(f"phase must be one of {PHASES}")
-    coins = Xof(seed, DOMAIN_COINS).squeeze(kem.P.seed_bytes)
+    coins = Xof(seed, DOMAIN_COINS).squeeze(P.seed_bytes)
     pk, sk = kem.keygen(seed)
     ct, _ = kem.encaps(pk, coins)
     run = {

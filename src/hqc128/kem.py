@@ -1,5 +1,5 @@
 """The HQC public-key encryption core and the IND-CCA2 KEM built on it,
-for the one parameter set HQC-128, bound once as ``P``.
+for the one parameter set HQC-128, ``params.P``.
 
 KeyGen expands one seed into (seed_h, seed_sk); h is a uniform ring element,
 (x, y) fixed-weight secrets, and s = x + h*y hides them. Encryption samples
@@ -14,17 +14,19 @@ Wire formats (normative, byte-exact):
     ct = u (2209) || v (2209) || d (64)          -> CT_BYTES = 4482
 Ring elements serialize bit i into bit (i mod 8) of byte (i div 8); the
 padding bits must be zero and are checked on deserialization. A ring element
-is held as those bytes. Each ring result is built as one '<u8' accumulator,
-the product's words with the other addends XORed in, and converted to bytes
-once; no ring element becomes a Python int. Each serialize_* /
-deserialize_* adds its wire length to `bytes_copied` once; the secret key
-adds its seed to what the embedded public key counts.
+is held as those bytes. Each ring result is one poly_ring accumulator, the
+product with the other addends XORed in (a dense one by `xor_into`), converted
+to bytes once: no ring element becomes a Python int, and no accumulator is
+sliced or viewed here. Each serialize_* / deserialize_* adds its wire length
+to `bytes_copied` once; the secret key adds its seed to what the embedded
+public key counts.
 """
 
 from __future__ import annotations
 
 from . import counters
-from .codes import P, code_decode, code_encode
+from .codes import code_decode, code_encode
+from .params import P
 from .poly_ring import (DensePoly, FormatError, SparsePoly, ct_equal, dense_from_sparse,
                         mul_sparse_dense, xor_into)
 from .sampling import (
@@ -78,7 +80,7 @@ def _check_seed(seed: bytes) -> None:
 
 
 def _expand_h(seed_h: bytes) -> DensePoly:
-    return sample_uniform_dense(Xof(seed_h, DOMAIN_UNIFORM_H), P.n)
+    return sample_uniform_dense(Xof(seed_h, DOMAIN_UNIFORM_H))
 
 
 def _expand_secrets(seed_sk: bytes) -> tuple[SparsePoly, SparsePoly]:
@@ -113,26 +115,24 @@ def pke_encrypt(pk: PublicKey, m: bytes, theta: bytes) -> tuple[DensePoly, Dense
     r2 = sample_fixed_weight(xof, P.w_r, P.n)
     u = mul_sparse_dense(r2, pk.h)
     u ^= dense_from_sparse(r1)
-    v = mul_sparse_dense(r2, pk.s)
-    mg = code_encode(m)
-    v[:mg.size] ^= mg
+    v = xor_into(mul_sparse_dense(r2, pk.s), code_encode(m))
     v ^= dense_from_sparse(e)
     return DensePoly.from_words(P.n, u), DensePoly.from_words(P.n, v)
 
 
 def pke_decrypt(sk: SecretKey, u: DensePoly, v: DensePoly) -> bytes:
     """C.Decode(v - u*y); wrong beyond the code capability, never raises."""
-    return code_decode(xor_into(mul_sparse_dense(sk.y, u), v))
+    return code_decode(DensePoly.from_words(P.n, xor_into(mul_sparse_dense(sk.y, u), v)))
 
 
 def encaps(pk: PublicKey, coins: bytes) -> tuple[Ciphertext, bytes]:
     """Encapsulate: returns (ciphertext, shared secret)."""
     _check_seed(coins)
     m = Xof(coins, DOMAIN_MESSAGE).squeeze(P.k)
-    theta = hash_g(m, P.seed_bytes)
+    theta = hash_g(m)
     u, v = pke_encrypt(pk, m, theta)
     d = hash_h(m)
-    ss = hash_k(m, u.to_bytes() + v.to_bytes(), P.ss_bytes)
+    ss = hash_k(m, u.to_bytes() + v.to_bytes())
     return Ciphertext(u, v, d), ss
 
 
@@ -143,13 +143,13 @@ def decaps(sk: SecretKey, ct: Ciphertext) -> bytes:
     before the verdict; it compares the held wire bytes.
     """
     m2 = pke_decrypt(sk, ct.u, ct.v)
-    theta2 = hash_g(m2, P.seed_bytes)
+    theta2 = hash_g(m2)
     u2, v2 = pke_encrypt(sk.pk, m2, theta2)
     d2 = hash_h(m2)
     c = ct.u.to_bytes() + ct.v.to_bytes()
     if not ct_equal(c + ct.d, u2.to_bytes() + v2.to_bytes() + d2):
         raise DecapsulationFailure("re-encryption check failed")
-    return hash_k(m2, c, P.ss_bytes)
+    return hash_k(m2, c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """HQC-128 parameter set.
 
-Every other module reads its constants from the record returned by
-:func:`hqc128`, which ``codes`` binds once as ``codes.P`` and ``kem``
-imports from there; a corrected constant therefore touches exactly one
-place.
+The record is built once, here, as ``P``, and every other module reads its
+sizes from it (``from .params import P``): a corrected constant touches one
+place. :func:`check` is the one test that a record handed in is ``P``.
 """
 
 from __future__ import annotations
@@ -49,3 +48,12 @@ def hqc128() -> ParamSet:
     """The NIST level 1 parameter set."""
     return ParamSet(n=17669, n1=46, k=16, rm_multiplicity=3, w=66, w_r=75, w_e=75,
                     seed_bytes=40, ss_bytes=64)
+
+
+P = hqc128()
+
+
+def check(p: object) -> None:
+    """Raise ValueError unless p is HQC-128, the one supported parameter set."""
+    if p != P:
+        raise ValueError("only the HQC-128 parameter set is supported")

@@ -20,6 +20,7 @@ import struct
 import numpy as np
 
 from . import counters
+from .params import P
 from .poly_ring import DensePoly, SparsePoly
 
 SHAKE256_RATE = 136
@@ -126,13 +127,12 @@ def sample_fixed_weight(xof: Xof, weight: int, n: int) -> SparsePoly:
     return SparsePoly._trusted(n, support)
 
 
-def sample_uniform_dense(xof: Xof, n: int) -> DensePoly:
-    """Uniform ring element: squeeze ceil(n/8) bytes, clear the pad bits of
-    the last byte."""
-    raw = bytearray(xof.squeeze((n + 7) >> 3))
-    if n & 7:
-        raw[-1] &= (1 << (n & 7)) - 1
-    return DensePoly(n, bytes(raw))
+def sample_uniform_dense(xof: Xof) -> DensePoly:
+    """Uniform element of R for n = P.n: squeeze ceil(n/8) bytes, clear the
+    pad bits of the last byte."""
+    raw = bytearray(xof.squeeze(P.n_bytes))
+    raw[-1] &= 0xFF >> (-P.n & 7)
+    return DensePoly(P.n, bytes(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +145,9 @@ def _sha3_512(data: bytes) -> bytes:
     return hashlib.sha3_512(data).digest()
 
 
-def hash_g(m: bytes, seed_bytes: int) -> bytes:
-    """Theta derivation: SHA3-512(m || G suffix) truncated to seed length."""
-    return _sha3_512(m + bytes([DOMAIN_HASH_G]))[:seed_bytes]
+def hash_g(m: bytes) -> bytes:
+    """Theta derivation: SHA3-512(m || G suffix) truncated to P.seed_bytes."""
+    return _sha3_512(m + bytes([DOMAIN_HASH_G]))[:P.seed_bytes]
 
 
 def hash_h(m: bytes) -> bytes:
@@ -155,6 +155,6 @@ def hash_h(m: bytes) -> bytes:
     return _sha3_512(m + bytes([DOMAIN_HASH_H]))
 
 
-def hash_k(m: bytes, c: bytes, ss_bytes: int) -> bytes:
-    """Shared secret: SHA3-512(m || c || K suffix) truncated to ss length."""
-    return _sha3_512(m + c + bytes([DOMAIN_HASH_K]))[:ss_bytes]
+def hash_k(m: bytes, c: bytes) -> bytes:
+    """Shared secret: SHA3-512(m || c || K suffix) truncated to P.ss_bytes."""
+    return _sha3_512(m + c + bytes([DOMAIN_HASH_K]))[:P.ss_bytes]

@@ -3,11 +3,11 @@ accumulators.
 
 A ring element is one Python int here, bit i the coefficient of X^i.
 `as_int` reads any ring result of `src/` (a `DensePoly` or '<u8' words) as
-that int; `dense` builds a `DensePoly` from one, and `words` an
-accumulator. `add` XORs two elements, `dense_from_sparse` sets the support
-bits of one int, and the shift-XOR product XORs the dense operand shifted
-left by each coordinate of the support into a double-length accumulator,
-then folds it once by X^n - 1. The tests compare the gather over cached
+that int, and `dense` builds a `DensePoly` from one. `add` XORs two
+elements, `dense_from_sparse` sets the support bits of one int, and the
+shift-XOR product XORs the dense operand shifted left by each coordinate of
+the support into a double-length accumulator, then folds it once by
+X^n - 1. The tests compare the gather over cached
 bit-shifted copies, the 0/1 scatter and the KEM's accumulators with these.
 """
 
@@ -27,11 +27,6 @@ def as_int(x: DensePoly | np.ndarray) -> int:
 def dense(n: int, v: int = 0) -> DensePoly:
     """The element with value v < 2^n, as its wire bytes."""
     return DensePoly(n, v.to_bytes((n + 7) >> 3, "little"))
-
-
-def words(n: int, v: int) -> np.ndarray:
-    """The ceil(n/64) '<u8' words of v < 2^(64 ceil(n/64)), as an accumulator."""
-    return np.frombuffer(v.to_bytes(8 * ((n + 63) >> 6), "little"), dtype="<u8")
 
 
 def add(a: DensePoly, b: DensePoly) -> DensePoly:

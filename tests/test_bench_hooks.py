@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hqc128 import codes, costmodel, kem
+from hqc128 import codes, costmodel, kem, params
 from hqc128.counters import Counters
 from hqc128.params import hqc128
 
@@ -45,6 +45,23 @@ def test_every_traced_name_is_called_by_one_exchange_over_the_wire():
             kem.decaps(sk, kem.deserialize_ct(tampered))
     called = {span[spans.NAME] for span in tracer.spans}
     assert [name for _, _, name in spans.TRACED if name not in called] == []
+
+
+def test_kept_arguments_are_the_weights_and_the_received_words():
+    # perfbench/run.py sums the kept sampler weights into draw_accept_ratio and
+    # recomputes the syndromes of each kept rs_decode word: over one exchange,
+    # x and y are sampled twice (keygen, deserialize_sk) and e, r1, r2 twice
+    # (encaps, the re-encryption in decaps); decaps decodes one 46-byte word
+    spans = load_spans()
+    with spans.Tracer() as tracer:
+        pk, sk = kem.keygen(bytes(40))
+        sk = kem.deserialize_sk(kem.serialize_sk(sk))
+        ct, ss = kem.encaps(pk, bytes(range(40)))
+        assert kem.decaps(sk, ct) == ss
+    weights = tracer.kept_args("sampling.sample_fixed_weight", lambda op: True)
+    assert sorted(weights) == [66] * 4 + [75] * 6
+    words = tracer.kept_args("codes.rs_decode", lambda op: True)
+    assert [len(w) for w in words] == [46]
 
 
 def test_rs_syndromes_takes_and_returns_arrays():
@@ -86,7 +103,7 @@ BENCH_FACING = [
 @pytest.mark.parametrize("fn, arg, expected", BENCH_FACING,
                          ids=[fn.__name__ for fn, _, _ in BENCH_FACING])
 def test_code_functions_accept_only_the_kem_parameter_set(fn, arg, expected):
-    assert kem.P is codes.P
+    assert kem.P is codes.P is params.P
     assert bytes(fn(arg, hqc128())).hex() == expected
     with pytest.raises(ValueError):
         fn(arg, hqc128()._replace(w=65))

@@ -19,8 +19,9 @@ from hqc128.codes import (
     rs_encode,
     rs_syndromes,
 )
+from hqc128.poly_ring import DensePoly
 from tests.codes_ref import code_encode_ref, rm_blocks_float
-from tests.ring_ref import as_int, words
+from tests.ring_ref import as_int, dense
 from tests.gf_ref import EXP, gf_mul_table
 from tests.rs_ref import rs_encode_ref
 
@@ -413,9 +414,13 @@ def test_code_encode_zero():
 
 
 def test_code_encode_confined_to_low_bits():
+    # mG is a ring element in wire form: canonical bytes, zero from n1*n2/8 on
     rng = random.Random(211)
     for _ in range(100):
         enc = code_encode(rng.randbytes(P.k))
+        assert isinstance(enc, DensePoly)
+        assert DensePoly.from_bytes(P.n, enc.to_bytes()) == enc
+        assert not any(enc.to_bytes()[P.n1 * P.n2 // 8:])
         assert as_int(enc) >> (P.n1 * P.n2) == 0
         assert as_int(enc).bit_count() <= P.n1 * P.n2
 
@@ -443,7 +448,7 @@ def test_code_decode_ignores_high_bits():
     enc = as_int(code_encode(msg))
     for i in range(P.n1 * P.n2, P.n):
         enc |= 1 << i
-    assert code_decode(words(P.n, enc)) == msg
+    assert code_decode(dense(P.n, enc)) == msg
 
 
 def test_code_corrects_combined_noise():
@@ -456,4 +461,4 @@ def test_code_corrects_combined_noise():
             n_flips = rng.randrange(1, 96)
             for off in rng.sample(range(P.n2), n_flips):
                 enc ^= 1 << (block * P.n2 + off)
-        assert code_decode(words(P.n, enc)) == msg
+        assert code_decode(dense(P.n, enc)) == msg

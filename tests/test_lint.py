@@ -68,21 +68,30 @@ def test_cost_categories_cover_every_unit_and_baseline_cell(capsys):
 
 
 def test_parameter_set_is_bound_once():
-    # HQC-128 is the one parameter set: a module builds it at import, never per
-    # call, and neither the KEM nor the code layer takes a parameter-set
-    # argument, except the second parameter of the four code functions that
-    # perfbench/ calls as f(x, P)
+    # HQC-128 is the one parameter set: params builds it once, at import, as P,
+    # and every other module reads it by `from .params import P`, never by
+    # another module's attribute (kem.P, codes.P) or a re-export. Neither the
+    # KEM nor the code layer takes a parameter-set argument, except the second
+    # parameter of the four code functions that perfbench/ calls as f(x, P)
     takes_record = {("codes", name, 1)
                     for name in ("rs_encode", "rs_decode", "rm_encode", "rs_syndromes")}
     bad = []
     for path in [*sorted(SRC.glob("*.py")), *sorted(SCRIPTS.glob("*.py"))]:
         tree = ast.parse(path.read_text(), filename=str(path))
+        top_level = {id(node) for stmt in tree.body for node in ast.walk(stmt)
+                     if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                              ast.ClassDef))}
+        bad += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "hqc128"
+                and not (path.stem == "params" and id(node) in top_level)
+                or isinstance(node, ast.ImportFrom) and any(a.name == "P" for a in node.names)
+                and not (node.level == 1 and node.module == "params")
+                or isinstance(node, ast.Attribute) and node.attr == "P"
+                or isinstance(node, ast.Name) and node.id == "P"
+                and isinstance(node.ctx, ast.Store) and path.stem != "params"]
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            bad += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
-                    for node in ast.walk(fn)
-                    if isinstance(node, ast.Call) and ast.unparse(node.func) == "hqc128"]
             if path.stem in ("kem", "codes"):
                 args = fn.args
                 bad += [f"{path.name}:{fn.lineno}: {fn.name}({a.arg})"
@@ -213,7 +222,7 @@ def test_kem_path_holds_no_ring_element_int():
     # made on the KEM path: DensePoly has no int field besides its degree,
     # and kem.py neither calls int.from_bytes nor reads a `.value`. The word
     # and byte layouts of ring results belong to poly_ring, so kem.py does
-    # not import numpy either
+    # not import numpy either, nor assign into a subscript of an accumulator
     from hqc128 import kem
     from hqc128.poly_ring import DensePoly
 
@@ -232,6 +241,8 @@ def test_kem_path_holds_no_ring_element_int():
             if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy"
                                                     for a in node.names)
             or isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")] == []
+    assert [f"kem.py:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)] == []
 
 
 def _is_support(node: ast.expr) -> bool:

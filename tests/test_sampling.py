@@ -291,11 +291,11 @@ def test_fixed_weight_draw_cap_is_per_draw(monkeypatch, seed):
 
 def test_sample_uniform_dense_is_canonical():
     p = hqc128()
-    d = sample_uniform_dense(Xof(b"y" * 40, 2), p.n)
+    d = sample_uniform_dense(Xof(b"y" * 40, 2))
     assert as_int(d) >> p.n == 0
     stream = hashlib.shake_256(b"y" * 40 + b"\x02").digest(p.n_bytes)
     assert as_int(d) == int.from_bytes(stream, "little") & ((1 << p.n) - 1)
-    d2 = sample_uniform_dense(Xof(b"y" * 40, 2), p.n)
+    d2 = sample_uniform_dense(Xof(b"y" * 40, 2))
     assert d == d2
 
 
@@ -308,9 +308,9 @@ def test_hashes_are_domain_separated():
     rng = random.Random(107)
     for _ in range(1000):
         m = rng.randbytes(p.k)
-        g = hash_g(m, p.seed_bytes)
+        g = hash_g(m)
         h = hash_h(m)
-        k = hash_k(m, b"", p.ss_bytes)
+        k = hash_k(m, b"")
         assert g != h[:len(g)]
         assert g != k[:len(g)]
         assert h != k
@@ -319,10 +319,10 @@ def test_hashes_are_domain_separated():
 def test_hash_lengths_and_determinism():
     p = hqc128()
     m = b"\x01" * p.k
-    assert len(hash_g(m, p.seed_bytes)) == 40
+    assert len(hash_g(m)) == 40
     assert len(hash_h(m)) == 64
-    assert len(hash_k(m, b"c", p.ss_bytes)) == 64
-    assert hash_g(m, p.seed_bytes) == hash_g(m, p.seed_bytes)
+    assert len(hash_k(m, b"c")) == 64
+    assert hash_g(m) == hash_g(m)
 
 
 def test_hash_avalanche_spot_check():
@@ -330,9 +330,9 @@ def test_hash_avalanche_spot_check():
     rng = random.Random(108)
     for _ in range(1000):
         m = bytearray(rng.randbytes(p.k))
-        g0, h0, k0 = hash_g(bytes(m), 40), hash_h(bytes(m)), hash_k(bytes(m), b"c", 64)
+        g0, h0, k0 = hash_g(bytes(m)), hash_h(bytes(m)), hash_k(bytes(m), b"c")
         bit = rng.randrange(p.k * 8)
         m[bit >> 3] ^= 1 << (bit & 7)
-        assert hash_g(bytes(m), 40) != g0
+        assert hash_g(bytes(m)) != g0
         assert hash_h(bytes(m)) != h0
-        assert hash_k(bytes(m), b"c", 64) != k0
+        assert hash_k(bytes(m), b"c") != k0
