@@ -177,9 +177,9 @@ def mul_sparse_dense(s: SparsePoly, d: DensePoly) -> np.ndarray:
 
 
 def xor_into(acc: np.ndarray, d: DensePoly) -> np.ndarray:
-    """Add d to the ceil(n/64) '<u8' words `acc` in place: its wire bytes
-    are XORed into the low bytes of the words. Returns acc."""
-    acc.view(np.uint8)[:len(d.data)] ^= np.frombuffer(d.data, dtype=np.uint8)
+    """Add d to the ceil(n/64) '<u8' words `acc` in place: its wire bytes,
+    zero-padded to whole words, are XORed in as '<u8' words. Returns acc."""
+    acc ^= np.frombuffer(d.data.ljust(acc.nbytes, b"\0"), "<u8")
     return acc
 
 

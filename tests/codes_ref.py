@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from hqc128 import counters
-from hqc128.codes import P, rs_encode
+from hqc128.codes import rs_encode
+from hqc128.params import P
 
 
 def _rm_generator_bits() -> np.ndarray:

@@ -11,10 +11,8 @@ here by long division on the log/antilog tables of `tests.gf_ref`.
 
 from __future__ import annotations
 
-from hqc128.params import hqc128
+from hqc128.params import P
 from tests.gf_ref import EXP, FIELD_ORDER, LOG, gf_mul_table
-
-P = hqc128()
 
 
 def generator(t: int) -> list[int]:

@@ -16,7 +16,7 @@ from hqc128 import codes
 from hqc128 import costmodel as cm
 from hqc128 import kem
 from hqc128.codes import _decode_blocks, rm_encode, rs_decode, rs_encode
-from hqc128.params import hqc128
+from hqc128.params import P
 from hqc128.poly_ring import SparsePoly, mul_sparse_dense
 from hqc128.sampling import DOMAIN_KAT_CHAIN, Xof, sample_fixed_weight
 from tests.gf_ref import gf_mul_table
@@ -25,8 +25,6 @@ from tests.ring_ref import as_int, dense
 from tests.test_codes import block_bits
 from tests.test_poly_ring import schoolbook_mul
 from tests.test_sampling import ZERO_STATE_PERMUTED_ONCE, ZERO_STATE_PERMUTED_TWICE
-
-P = hqc128()
 
 pytestmark = pytest.mark.acceptance
 

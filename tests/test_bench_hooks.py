@@ -10,7 +10,7 @@ import pytest
 
 from hqc128 import codes, costmodel, kem, params
 from hqc128.counters import Counters
-from hqc128.params import hqc128
+from hqc128.params import P, hqc128
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -65,11 +65,10 @@ def test_kept_arguments_are_the_weights_and_the_received_words():
 
 
 def test_rs_syndromes_takes_and_returns_arrays():
-    p = hqc128()
-    word = np.frombuffer(codes.rs_encode(bytes(range(p.k)), p), dtype=np.uint8)
-    syn = codes.rs_syndromes(word, p)
+    word = np.frombuffer(codes.rs_encode(bytes(range(P.k)), P), dtype=np.uint8)
+    syn = codes.rs_syndromes(word, P)
     assert isinstance(syn, np.ndarray)
-    assert syn.shape == (2 * p.delta,)
+    assert syn.shape == (2 * P.delta,)
     assert not syn.any()
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from hqc128 import counters
 from hqc128.codes import (
-    P,
     _SYLVESTER,
     _decode_blocks,
     _fold,
@@ -19,6 +18,7 @@ from hqc128.codes import (
     rs_encode,
     rs_syndromes,
 )
+from hqc128.params import P
 from hqc128.poly_ring import DensePoly
 from tests.codes_ref import code_encode_ref, rm_blocks_float
 from tests.ring_ref import as_int, dense

@@ -8,9 +8,8 @@ import pytest
 
 from hqc128 import costmodel as cm
 from hqc128 import kem
-from hqc128.params import hqc128
+from hqc128.params import P
 
-P = hqc128()
 SEED = bytes(range(40))
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -4,14 +4,13 @@ import pytest
 
 from hqc128 import kem
 from hqc128.counters import Counters, collecting
-from hqc128.params import hqc128
+from hqc128.params import P
 from hqc128.poly_ring import dense_from_sparse, mul_sparse_dense
 from hqc128.sampling import DOMAIN_ENCRYPT_NOISE, Xof, hash_k, sample_fixed_weight
 from tests.codes_ref import code_encode_ref
 from tests.ring_ref import add, as_int, dense, mul_shift_xor
 from tests.ring_ref import dense_from_sparse as dense_ref
 
-P = hqc128()
 RNG = random.Random(300)
 
 

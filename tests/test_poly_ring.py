@@ -12,6 +12,7 @@ from hqc128.poly_ring import (
     ct_equal,
     dense_from_sparse,
     mul_sparse_dense,
+    xor_into,
 )
 from tests.ring_ref import add, as_int, dense, mul_shift_xor, unreduced_product
 
@@ -327,6 +328,21 @@ def test_ring_results_are_fixed_length_words(n):
                 assert as_int(got) >> n == 0
             assert as_int(product) == mul_shift_xor(s, d)
             assert as_int(scattered) == sum(1 << c for c in support)
+
+
+@pytest.mark.parametrize("n", [7, 97, 17669])
+def test_xor_into_matches_int_oracle(n):
+    # the wire bytes, zero-padded to whole words, are added in place: at
+    # these n the bytes end inside the last word and the last byte has pad
+    # bits
+    rng = random.Random(n + 28)
+    words = (n + 63) // 64
+    for a, b in ((0, (1 << n) - 1), ((1 << n) - 1, (1 << n) - 1),
+                 (rng.getrandbits(n), rng.getrandbits(n))):
+        acc = np.frombuffer(a.to_bytes(8 * words, "little"), "<u8").copy()
+        got = xor_into(acc, dense(n, b))
+        assert got is acc and got.dtype == np.dtype("<u8") and got.shape == (words,)
+        assert as_int(got) == a ^ b
 
 
 @settings(max_examples=50, deadline=None)

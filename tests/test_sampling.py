@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hqc128 import sampling
 from hqc128.counters import Counters, collecting
-from hqc128.params import hqc128
+from hqc128.params import P
 from hqc128.sampling import (
     DOMAIN_ENCRYPT_NOISE,
     DOMAIN_SECRET_SAMPLING,
@@ -180,14 +180,13 @@ def test_any_partition_yields_identical_stream(data):
 
 
 def test_fixed_weight_postconditions():
-    p = hqc128()
     rng = random.Random(105)
     for _ in range(200):
         xof = Xof(rng.randbytes(40), DOMAIN_SECRET_SAMPLING)
-        s = sample_fixed_weight(xof, p.w_r, p.n)
-        assert len(s.support) == p.w_r
-        assert len(set(s.support)) == p.w_r
-        assert all(0 <= c < p.n for c in s.support)
+        s = sample_fixed_weight(xof, P.w_r, P.n)
+        assert len(s.support) == P.w_r
+        assert len(set(s.support)) == P.w_r
+        assert all(0 <= c < P.n for c in s.support)
         assert list(s.support) == sorted(s.support)
         assert isinstance(s.support, np.ndarray) and s.support.dtype == np.intp
         with pytest.raises(ValueError):
@@ -236,7 +235,8 @@ def test_fixed_weight_matches_per_draw_oracle():
             if w:
                 paths.add((n, draws == w))
         assert fast.squeeze(16) == ref.squeeze(16), (seed, weights, n)
-    assert {(17669, True), (97, True), (97, False), ((1 << 23) + 1, False)} <= paths
+    assert {(17669, True), (17669, False), (97, True), (97, False),
+            ((1 << 23) + 1, False)} <= paths
 
 
 def test_fixed_weight_weight_cap():
@@ -269,14 +269,21 @@ def test_fixed_weight_draw_cap(monkeypatch):
         sample_fixed_weight(Xof(b"x" * 40, 3), 5, 17669)
 
 
-@pytest.mark.parametrize("seed", range(6))
+CAP_SEEDS = range(6)
+
+
+@pytest.mark.parametrize("seed", CAP_SEEDS)
 def test_fixed_weight_draw_cap_is_per_draw(monkeypatch, seed):
     # the cap is checked on each draw, as in the oracle: with the cap one
     # below the draws a support needs, both raise, and at exactly that many
-    # both return it, also when the cap is not a multiple of the chunk size
+    # both return it, also when the cap is not a multiple of the chunk size.
+    # The seeds include a support finished in its first chunk, which is taken
+    # whole, and supports that need more, whose later chunks are walked
     weight, n = 5, 7
     key = bytes([seed]) * 40
     support, needed = sample_fixed_weight_per_draw(Xof(key, 3), weight, n)
+    assert {sample_fixed_weight_per_draw(Xof(bytes([s]) * 40, 3), weight, n)[1] == weight
+            for s in CAP_SEEDS} == {True, False}
     for cap in (needed - 1, needed):
         monkeypatch.setattr(sampling, "MAX_SAMPLE_DRAWS", cap)
         monkeypatch.setattr(sampling_ref, "MAX_SAMPLE_DRAWS", cap)
@@ -290,11 +297,10 @@ def test_fixed_weight_draw_cap_is_per_draw(monkeypatch, seed):
 
 
 def test_sample_uniform_dense_is_canonical():
-    p = hqc128()
     d = sample_uniform_dense(Xof(b"y" * 40, 2))
-    assert as_int(d) >> p.n == 0
-    stream = hashlib.shake_256(b"y" * 40 + b"\x02").digest(p.n_bytes)
-    assert as_int(d) == int.from_bytes(stream, "little") & ((1 << p.n) - 1)
+    assert as_int(d) >> P.n == 0
+    stream = hashlib.shake_256(b"y" * 40 + b"\x02").digest(P.n_bytes)
+    assert as_int(d) == int.from_bytes(stream, "little") & ((1 << P.n) - 1)
     d2 = sample_uniform_dense(Xof(b"y" * 40, 2))
     assert d == d2
 
@@ -304,10 +310,9 @@ def test_sample_uniform_dense_is_canonical():
 
 
 def test_hashes_are_domain_separated():
-    p = hqc128()
     rng = random.Random(107)
     for _ in range(1000):
-        m = rng.randbytes(p.k)
+        m = rng.randbytes(P.k)
         g = hash_g(m)
         h = hash_h(m)
         k = hash_k(m, b"")
@@ -317,8 +322,7 @@ def test_hashes_are_domain_separated():
 
 
 def test_hash_lengths_and_determinism():
-    p = hqc128()
-    m = b"\x01" * p.k
+    m = b"\x01" * P.k
     assert len(hash_g(m)) == 40
     assert len(hash_h(m)) == 64
     assert len(hash_k(m, b"c")) == 64
@@ -326,12 +330,11 @@ def test_hash_lengths_and_determinism():
 
 
 def test_hash_avalanche_spot_check():
-    p = hqc128()
     rng = random.Random(108)
     for _ in range(1000):
-        m = bytearray(rng.randbytes(p.k))
+        m = bytearray(rng.randbytes(P.k))
         g0, h0, k0 = hash_g(bytes(m)), hash_h(bytes(m)), hash_k(bytes(m), b"c")
-        bit = rng.randrange(p.k * 8)
+        bit = rng.randrange(P.k * 8)
         m[bit >> 3] ^= 1 << (bit & 7)
         assert hash_g(bytes(m)) != g0
         assert hash_h(bytes(m)) != h0
