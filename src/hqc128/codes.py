@@ -49,7 +49,11 @@ from .poly_ring import DensePoly
 # in the same form is one integer multiply: each 4-bit slot sums at most 8
 # products, so no carry leaves a slot, and bit 0 of slot i is the coefficient
 # of x^i of the carry-less product. XOR keeps those bits exact, so products
-# are XOR-accumulated unreduced and reduced mod 0x11D once.
+# are XOR-accumulated unreduced and reduced mod 0x11D once, by one Barrett
+# fold: with the slots 8..15 of a lane as H and mu = x^16 div 0x11D, the
+# quotient is q = H * mu div x^8, and the remainder is the low 8 slots of
+# the lane XOR q * (x^4 + x^3 + x^2 + 1). Each slot of H * mu and of that
+# product sums at most 4 products, so no carry leaves a slot there either.
 #
 # The decoder runs on secret data, so every operand has a data-independent
 # length: a scalar s multiplies as s + _NZ, never zero (CPython skips a
@@ -59,7 +63,8 @@ from .poly_ring import DensePoly
 # the top do not shorten it.
 
 _NZ = 1 << 29
-_SP = 0x11101   # x^4 + x^3 + x^2 + 1 (0x11D without x^8), spread
+_SP = 0x11101       # x^4 + x^3 + x^2 + 1 (0x11D without x^8), spread
+_MU = 0x100011100   # x^8 + x^4 + x^3 + x^2 = x^16 div 0x11D, spread
 
 
 def _fill(n: int, lane: int) -> int:
@@ -68,14 +73,15 @@ def _fill(n: int, lane: int) -> int:
 
 
 class _Lanes:
-    """Masks and lane-wise operations for vectors of n lanes."""
+    """Masks and lane-wise operations for vectors of n lanes, n given by
+    the '<nQ' struct that reads their lanes (built at module level)."""
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, lanes: struct.Struct):
+        self.n = n = lanes.size >> 3
         self.guard = g = 1 << (64 * (n + 2))
         self.low = _fill(n, 0x11111111)            # slots 0..7
         self.one = _fill(n, 1)
-        self._lanes = struct.Struct(f"<{n}Q")
+        self._lanes = lanes
         self._spread = [_fill(n, m) | g for m in (0x000F000F, 0x03030303, 0x11111111)]
         self._compact = [_fill(n, m) | g for m in (0x03030303, 0x000F000F, 0xFF)]
 
@@ -99,12 +105,14 @@ class _Lanes:
         return self._lanes.unpack_from(x.to_bytes(8 * (self.n + 3), "little"))
 
     def reduce(self, x: int) -> int:
-        """Slots 0..14 of each lane reduced mod 0x11D: two folds of slots
-        8..14 times x^8 = x^4 + x^3 + x^2 + 1. Guards and anything else above
-        the lanes are dropped and the guard is set."""
+        """Slots 0..15 of each lane reduced mod 0x11D by one Barrett fold:
+        q = H * mu div x^8 for H the slots 8..15, then the slots 0..7 of
+        x + q * (x^4 + x^3 + x^2 + 1). Both multiplicands carry the guard;
+        guards and anything else above the lanes are dropped and the guard
+        is set."""
         low, g = self.low, self.guard
-        x = (x & low) ^ (((x >> 32) & low) | g) * _SP
-        return ((x ^ (((x >> 32) & low) | g) * _SP) & low) | g
+        q = (((((x >> 32) & low) | g) * _MU >> 32) & low) | g
+        return ((x ^ q * _SP) & low) | g
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +131,9 @@ def gf_pow_alpha(e: int) -> int:
 
 # The RS layer's three widths. The received word, the syndromes, the parity
 # remainder, g(X) and the riBM state share one: n1 = 3 delta + 1 = 46 lanes.
-_WORD = _Lanes(max(P.n1, 3 * P.delta + 1))
-_CHIEN = _Lanes(3 * P.k)
-_MSG = _Lanes(P.k)
+_WORD = _Lanes(struct.Struct(f"<{max(P.n1, 3 * P.delta + 1)}Q"))
+_CHIEN = _Lanes(struct.Struct(f"<{3 * P.k}Q"))
+_MSG = _Lanes(struct.Struct(f"<{P.k}Q"))
 
 
 def _rs_tables() -> tuple[list[int], list[int], list[int]]:
@@ -206,7 +214,9 @@ def _sylvester() -> np.ndarray:
     return (1 - 2 * (parity & 1)).astype(np.float32)
 
 
-_SYLVESTER = _sylvester()
+# The soft values m - 2c of set-copy counts c, transformed: (m - 2c) @ H is
+# c @ (-2H) plus 128 m on column 0, as every other column of H sums to 0
+_SYLVESTER_NEG2 = -2 * _sylvester()
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +364,12 @@ def rm_encode(symbol: int, p: ParamSet) -> bytes:
 
 
 def _fold(bits: np.ndarray) -> np.ndarray:
-    """(..., multiplicity, 128) bits -> (..., 128) float32 soft values:
-    multiplicity - 2 * (set copies)."""
-    set_copies = np.add.reduce(bits, axis=-2, dtype=np.int8)
-    return (bits.shape[-2] - 2 * set_copies).astype(np.float32)
+    """(..., multiplicity, 128) bits -> (..., 128) set-copy counts, the
+    copies added as whole arrays."""
+    counts = bits[..., 0, :] + bits[..., 1, :]
+    for i in range(2, bits.shape[-2]):
+        counts += bits[..., i, :]
+    return counts
 
 
 def _peaks(t: np.ndarray) -> np.ndarray:
@@ -371,9 +383,13 @@ def _peaks(t: np.ndarray) -> np.ndarray:
 
 def _decode_blocks(bits: np.ndarray) -> np.ndarray:
     """(B, multiplicity, 128) bits -> (B,) ML-decoded symbols. The transform
-    is exact in float32: every entry is at most 128 * multiplicity."""
+    of the soft values multiplicity - 2 * (set copies) is taken from the
+    counts, with the constant on column 0; it is exact in float32: every
+    entry is at most 128 * multiplicity."""
     counters.add("rm_blocks_decoded", len(bits))
-    return _peaks(_fold(bits) @ _SYLVESTER)
+    t = _fold(bits) @ _SYLVESTER_NEG2
+    t[..., 0] += 128 * bits.shape[-2]
+    return _peaks(t)
 
 
 # ---------------------------------------------------------------------------

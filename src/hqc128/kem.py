@@ -48,6 +48,12 @@ SK_BYTES = P.seed_bytes + PK_BYTES
 CT_BYTES = 2 * P.n_bytes + 64
 
 
+# What the two fixed-weight draw sites digest at their first squeeze: two
+# chunks of 3 w bytes per draw, which a draw sequence seldom passes
+_SECRET_XOF_BYTES = 2 * 2 * 3 * P.w              # x, y: 792
+_NOISE_XOF_BYTES = 2 * 3 * (P.w_e + 2 * P.w_r)  # e, r1, r2: 1,350
+
+
 class DecapsulationFailure(Exception):
     """The re-encryption check rejected the ciphertext."""
 
@@ -84,7 +90,7 @@ def _expand_h(seed_h: bytes) -> DensePoly:
 
 
 def _expand_secrets(seed_sk: bytes) -> tuple[SparsePoly, SparsePoly]:
-    xof = Xof(seed_sk, DOMAIN_SECRET_SAMPLING)
+    xof = Xof(seed_sk, DOMAIN_SECRET_SAMPLING, _SECRET_XOF_BYTES)
     x = sample_fixed_weight(xof, P.w, P.n)
     y = sample_fixed_weight(xof, P.w, P.n)
     return x, y
@@ -109,7 +115,7 @@ def pke_encrypt(pk: PublicKey, m: bytes, theta: bytes) -> tuple[DensePoly, Dense
     if len(m) != P.k:
         raise ValueError(f"message must be {P.k} bytes")
     _check_seed(theta)
-    xof = Xof(theta, DOMAIN_ENCRYPT_NOISE)
+    xof = Xof(theta, DOMAIN_ENCRYPT_NOISE, _NOISE_XOF_BYTES)
     e = sample_fixed_weight(xof, P.w_e, P.n)
     r1 = sample_fixed_weight(xof, P.w_r, P.n)
     r2 = sample_fixed_weight(xof, P.w_r, P.n)

@@ -86,9 +86,14 @@ class SparsePoly:
     strings, bools (also among ints) and ints past 64 bits are rejected, not
     cast. The sampler, whose output is sorted, distinct and below n by
     construction, builds its result through `_trusted` unchecked.
+
+    The support is never changed after construction, so the product's
+    gather indices into a dense operand's windows (`sh & 7`, `sh >> 3` for
+    sh = n - c) are cached in `_idx` on first use, as a DensePoly keeps its
+    windows.
     """
 
-    __slots__ = ("n", "support")
+    __slots__ = ("n", "support", "_idx")
 
     def __init__(self, n: int, support):
         array = np.array(support)
@@ -102,6 +107,7 @@ class SparsePoly:
         array.flags.writeable = False
         self.n = n
         self.support = array
+        self._idx = None
 
     @classmethod
     def _trusted(cls, n: int, support: np.ndarray) -> "SparsePoly":
@@ -110,6 +116,7 @@ class SparsePoly:
         s = cls.__new__(cls)
         s.n = n
         s.support = support
+        s._idx = None
         return s
 
     def __eq__(self, other) -> bool:
@@ -162,15 +169,18 @@ def mul_sparse_dense(s: SparsePoly, d: DensePoly) -> np.ndarray:
 
     With sh = n - c in [1, n], X^c * d is the low n bits of
     (d | d << n) >> sh, the window at row sh & 7 and byte sh >> 3 of
-    `_rotations(d)`; one gather reads all w windows, one XOR-reduce adds them.
-    The result is a fresh array, so callers add their addends into it.
+    `_rotations(d)` (those indices are kept on s); one gather reads all w
+    windows, one XOR-reduce adds them. The result is a fresh array, so
+    callers add their addends into it.
     """
     if s.n != d.n:
         raise ValueError("ring degree mismatch")
     n = d.n
     words = (n + 63) >> 6
-    sh = n - s.support
-    acc = np.bitwise_xor.reduce(_rotations(d)[sh & 7, sh >> 3], axis=0)
+    if s._idx is None:
+        sh = n - s.support
+        s._idx = (sh & 7, sh >> 3)
+    acc = np.bitwise_xor.reduce(_rotations(d)[s._idx], axis=0)
     acc[-1] &= (1 << (n - 64 * (words - 1))) - 1
     counters.add("ring_word_ops", 2 * (words + 1) * len(s.support))
     return acc

@@ -55,18 +55,24 @@ class Xof:
     The input is hashed once, at construction. A sponge permutes once per full
     rate block of input and once per rate block squeezed, begun blocks
     included (the first of these is the finalizing permutation); the counts
-    follow the input length and the squeeze cursor.
+    follow the input length and the squeeze cursor, never the buffer.
 
     hashlib has no squeeze cursor, so every digest(n) recomputes the stream
-    from byte 0; a squeeze past the buffered stream re-digests at least twice
-    its length, which keeps the total work linear in the stream length.
+    from byte 0. The first squeeze digests at least `bound` bytes (one rate
+    block unless the use-site sizes it): a use-site that knows how far its
+    reads usually go digests once. A squeeze past the buffered stream
+    re-digests at least twice its length, which keeps the total work linear
+    in the stream length.
     """
 
-    def __init__(self, seed: bytes, domain: int):
+    __slots__ = ("_h", "_bound", "_stream", "_pos")
+
+    def __init__(self, seed: bytes, domain: int, bound: int = SHAKE256_RATE):
         data = seed + bytes([domain])
         counters.add("bytes_copied", len(data))
         counters.add("keccak_permutations", len(data) // SHAKE256_RATE)
         self._h = hashlib.shake_256(data)
+        self._bound = bound
         self._stream = b""
         self._pos = 0
 
@@ -75,7 +81,7 @@ class Xof:
             raise ValueError("negative squeeze length")
         start, end = self._pos, self._pos + n
         if end > len(self._stream):
-            self._stream = self._h.digest(max(end, 2 * len(self._stream), SHAKE256_RATE))
+            self._stream = self._h.digest(max(end, 2 * len(self._stream), self._bound))
         self._pos = end
         counters.add("bytes_copied", n)
         before = -(-start // SHAKE256_RATE)
@@ -92,8 +98,9 @@ def sample_fixed_weight(xof: Xof, weight: int, n: int) -> SparsePoly:
 
     Candidates are 24-bit little-endian values read from chunks of
     3 * max(weight, 1) squeezed bytes; each chunk is widened to 32-bit words
-    and decoded at once. Values at or above the largest multiple of n below
-    2^24 are rejected (removing the modulo bias), then duplicates are
+    and decoded at once by `struct.unpack`, whose format cache compiles each
+    chunk size's decoder once. Values at or above the largest multiple of n
+    below 2^24 are rejected (removing the modulo bias), then duplicates are
     rejected until `weight` distinct coordinates are found; the rest of the
     last chunk is discarded. A chunk begun with nothing picked holds `weight`
     draws, so it can complete the weight only at its last draw: it is taken
@@ -102,15 +109,16 @@ def sample_fixed_weight(xof: Xof, weight: int, n: int) -> SparsePoly:
     a chunk taken whole raises if its draws pass the cap, as a walk would,
     since it could not have completed the weight before the cap. The
     data-dependent quantity of this technique is the number of chunks and
-    of draws walked one at a time, and with them the draw count. The
-    support is returned as a sorted intp array. Raises ValueError before
-    any squeeze unless 1 <= n <= 2^24 and 0 <= weight <= n.
+    of draws walked one at a time, and with them the draw count; the XOF's
+    digest work does not follow it while the chunks stay within the bound
+    the use-site's `Xof` digests at its first squeeze. The support is
+    returned as a sorted intp array. Raises ValueError before any squeeze
+    unless 1 <= n <= 2^24 and 0 <= weight <= n.
     """
     if not (1 <= n <= 1 << 24 and 0 <= weight <= n):
         raise ValueError("need 1 <= n <= 2^24 and 0 <= weight <= n")
     threshold = ((1 << 24) // n) * n
     count = max(weight, 1)
-    decode = struct.Struct(f"<{count}I").unpack
     wide = bytearray(4 * count)
     picked: set[int] = set()
     draws = 0
@@ -119,13 +127,14 @@ def sample_fixed_weight(xof: Xof, weight: int, n: int) -> SparsePoly:
         wide[0::4] = raw[0::3]
         wide[1::4] = raw[1::3]
         wide[2::4] = raw[2::3]
+        values = struct.unpack(f"<{count}I", wide)
         if not picked:
             draws += count
             if draws > MAX_SAMPLE_DRAWS:
                 raise SamplingError("rejection sampling exceeded the draw cap")
-            picked = {value % n for value in decode(wide) if value < threshold}
+            picked = {value % n for value in values if value < threshold}
             continue
-        for value in decode(wide):
+        for value in values:
             draws += 1
             if draws > MAX_SAMPLE_DRAWS:
                 raise SamplingError("rejection sampling exceeded the draw cap")

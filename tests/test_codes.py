@@ -6,11 +6,11 @@ import pytest
 
 from hqc128 import counters
 from hqc128.codes import (
-    _SYLVESTER,
     _decode_blocks,
     _fold,
     _peaks,
     _rm_blocks,
+    _sylvester,
     code_decode,
     code_encode,
     rm_encode,
@@ -64,6 +64,10 @@ def rm_encode_oracle(symbol: int, multiplicity: int) -> bytes:
     for j, bit in enumerate(bits):
         out[j >> 3] |= bit << (j & 7)
     return bytes(out) * multiplicity
+
+
+# the +-1 Walsh-Hadamard matrix; codes keeps only -2 times it
+_SYLVESTER = _sylvester()
 
 
 def flip_bits(block: bytes, positions) -> bytes:
@@ -259,14 +263,15 @@ def test_rm_per_copy_weight_spectrum():
 
 
 def test_rm_fold_examples():
+    # _fold counts the set copies of each position
     zeros = bytes(P.n2 // 8)
-    assert list(_fold(block_bits(zeros))[0]) == [3] * 128
+    assert list(_fold(block_bits(zeros))[0]) == [0] * 128
     ones = b"\xff" * (P.n2 // 8)
-    assert list(_fold(block_bits(ones))[0]) == [-3] * 128
+    assert list(_fold(block_bits(ones))[0]) == [3] * 128
     one_flip = flip_bits(zeros, [5])  # first copy, position 5
     folded = _fold(block_bits(one_flip))[0]
     assert folded[5] == 1
-    assert all(folded[i] == 3 for i in range(128) if i != 5)
+    assert all(folded[i] == 0 for i in range(128) if i != 5)
 
 
 def test_hadamard_zero_and_delta():
@@ -360,7 +365,8 @@ def test_peak_search_batches_match_per_row_oracle():
 
 def test_peak_search_closure_exhaustive():
     for sym in range(256):
-        t = _fold(block_bits(rm_encode(sym, P)))[0] @ _SYLVESTER
+        counts = _fold(block_bits(rm_encode(sym, P)))[0].astype(np.float32)
+        t = (P.rm_multiplicity - 2 * counts) @ _SYLVESTER
         assert _peaks(t) == sym
 
 

@@ -3,9 +3,11 @@ log/antilog oracle in tests/gf_ref.py."""
 
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from hqc128 import codes
+from hqc128.params import P
 from tests.gf_ref import EXP, LOG, gf_mul_table
 
 MSG = codes._MSG  # gf_mul works at the k-lane message width
@@ -93,6 +95,41 @@ def test_vectorized_inverse():
     assert inv[0] == 0
     for a in range(1, 256):
         assert gf_mul_table(a, inv[a]) == 1
+
+
+# bit i of a byte at bit 4i: a field element as one packed lane
+LANE = [int(f"{v:b}", 16) for v in range(256)]
+WIDTHS = pytest.mark.parametrize("lanes", [codes._WORD, codes._CHIEN, codes._MSG],
+                                 ids=["word", "chien", "msg"])
+
+
+@WIDTHS
+def test_reduce_top_lane_exhaustive(lanes):
+    # every a * b as the RS layer makes it, a public row times a secret
+    # scalar taken as s + _NZ, in the top lane (next to the guard), then one
+    # reduce: the product alone is left in that lane, and the guard is set
+    top = 64 * (lanes.n - 1)
+    for a in range(256):
+        row = LANE[a] << top
+        got = [lanes.reduce(row * (LANE[b] + codes._NZ)) for b in range(256)]
+        assert got == [(LANE[gf_mul_table(a, b)] << top) | lanes.guard for b in range(256)], a
+
+
+@WIDTHS
+def test_reduce_xor_sums_of_up_to_n1_products(lanes):
+    # sums of 1..n1 row products, unreduced as gf_mul_vec hands them over,
+    # against the table XOR-summed lane by lane
+    rng = random.Random(113)
+    for count in [*range(1, P.n1 + 1), *(rng.randrange(1, P.n1 + 1) for _ in range(50))]:
+        rows = [rng.randbytes(lanes.n) for _ in range(count)]
+        scalars = rng.randbytes(count)
+        acc = codes.gf_mul_vec([lanes.pack(r) & lanes.low for r in rows],
+                               [LANE[x] for x in scalars])
+        expect = bytearray(lanes.n)
+        for row, x in zip(rows, scalars):
+            for lane, a in enumerate(row):
+                expect[lane] ^= gf_mul_table(a, x)
+        assert lanes.unpack(lanes.reduce(acc)) == bytes(expect), count
 
 
 vectors = st.binary(min_size=K, max_size=K)

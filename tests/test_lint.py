@@ -286,6 +286,20 @@ def test_code_widths_are_built_at_import():
     assert sorted(bad) == []
 
 
+def test_struct_formats_are_not_compiled_per_call():
+    # struct.Struct compiles its format when it is built, so one built inside
+    # a function body (a lambda included) compiles it on every call; build it
+    # at module level, or call struct.unpack, whose format cache compiles
+    # each format once
+    bad = {f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+           for path in sorted(SRC.glob("*.py"))
+           for scope in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+           if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+           for node in ast.walk(scope)
+           if isinstance(node, ast.Call) and ast.unparse(node.func) == "struct.Struct"}
+    assert sorted(bad) == []
+
+
 def test_import_builds_no_dataclasses():
     # the records are plain classes and NamedTuples: neither `import hqc128`
     # nor `import hqc128.cli` (which loads the cost model) in a fresh

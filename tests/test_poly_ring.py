@@ -266,6 +266,21 @@ def test_mul_matches_shift_xor_oracle(n):
             assert as_int(got) == mul_shift_xor(s2, d)
 
 
+@pytest.mark.parametrize("n", [97, 17669])
+def test_cached_gather_indices_serve_every_operand(n):
+    # a sparse operand keeps its gather indices from its first product; one
+    # built by the checking constructor and one by _trusted (the sampler's
+    # path) each multiply two dense operands twice, in turn
+    rng = random.Random(n + 23)
+    w = min(75, n // 2)
+    built = [rand_sparse(n, w, rng),
+             SparsePoly._trusted(n, np.array(sorted(rng.sample(range(n), w)), dtype=np.intp))]
+    for s in built:
+        operands = [dense(n, rng.getrandbits(n)) for _ in range(2)]
+        for d in 2 * operands:
+            assert as_int(mul_sparse_dense(s, d)) == mul_shift_xor(s, d)
+
+
 # ---------------------------------------------------------------------------
 # canonical form and serialization
 

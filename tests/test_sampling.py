@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hqc128 import sampling
+from hqc128 import kem, sampling
 from hqc128.counters import Counters, collecting
 from hqc128.params import P
 from hqc128.sampling import (
@@ -163,16 +163,72 @@ def test_long_stream_stress():
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_any_partition_yields_identical_stream(data):
+    # also for a sized Xof (its first squeeze digests `bound` bytes), whose
+    # stream and counts equal an unsized one's when the squeezes cross the bound
     seed = data.draw(st.binary(min_size=0, max_size=300))
     domain = data.draw(st.integers(0, 255))
-    x = Xof(seed, domain)
+    bound = data.draw(st.integers(0, 299))
     sq_cuts = sorted(data.draw(st.lists(st.integers(0, 300), max_size=4)))
-    out = b""
-    prev = 0
-    for cut in sq_cuts + [300]:
-        out += x.squeeze(cut - prev)
-        prev = cut
-    assert out == hashlib.shake_256(seed + bytes([domain])).digest(300)
+    runs = []
+    for x in (Xof(seed, domain), Xof(seed, domain, bound)):
+        out = b""
+        prev = 0
+        with collecting(Counters()) as c:
+            for cut in sq_cuts + [300]:
+                out += x.squeeze(cut - prev)
+                prev = cut
+        runs.append((out, c))
+    assert runs[0][0] == hashlib.shake_256(seed + bytes([domain])).digest(300)
+    assert runs[1] == runs[0]
+
+
+class CountingShake:
+    """Stands in for an Xof's hashlib object and counts its digest calls."""
+
+    def __init__(self, h):
+        self.h = h
+        self.digests = 0
+
+    def digest(self, n: int) -> bytes:
+        self.digests += 1
+        return self.h.digest(n)
+
+
+def test_draw_sites_digest_once_within_their_bound(monkeypatch):
+    # the secret-key and the encryption-noise XOFs are sized for two chunks
+    # per draw, so a draw sequence that ends within that digests once; every
+    # seed here does (the bound covers all of thousands of measured seeds)
+    made = []
+
+    class CountingXof(Xof):
+        __slots__ = ("domain", "bound")
+
+        def __init__(self, seed, domain, bound=sampling.SHAKE256_RATE):
+            super().__init__(seed, domain, bound)
+            self._h = CountingShake(self._h)
+            self.domain, self.bound = domain, bound
+            made.append(self)
+
+    monkeypatch.setattr(kem, "Xof", CountingXof)
+    rng = random.Random(111)
+    sites = {DOMAIN_SECRET_SAMPLING: 2 * 2 * 3 * P.w,
+             DOMAIN_ENCRYPT_NOISE: 2 * 3 * (P.w_e + 2 * P.w_r)}
+    for _ in range(20):
+        made.clear()
+        pk, sk = kem.keygen(rng.randbytes(40))
+        ct, ss = kem.encaps(pk, rng.randbytes(40))
+        assert kem.decaps(sk, ct) == ss
+        drawn = [x for x in made if x.domain in sites]
+        assert [x.domain for x in drawn] == [DOMAIN_SECRET_SAMPLING] + 2 * [DOMAIN_ENCRYPT_NOISE]
+        for x in drawn:
+            assert x.bound == sites[x.domain]
+            assert x._pos <= x.bound
+            assert x._h.digests == 1
+    # past its bound a sized Xof grows its buffer by today's rule: one more digest
+    x = CountingXof(b"z" * 40, DOMAIN_ENCRYPT_NOISE, 300)
+    x.squeeze(300)
+    x.squeeze(1)
+    assert x._h.digests == 2
 
 
 # ---------------------------------------------------------------------------
