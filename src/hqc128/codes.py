@@ -14,8 +14,8 @@ Conventions, fixed here and pinned by the exhaustive roundtrip tests:
   peak search inverts exactly this map.
 
 Decoding an RM block is maximum likelihood: fold the duplicated copies into
-per-position counts, Walsh-Hadamard transform (one matrix product with the
-Sylvester +-1 matrix for all blocks), take the largest magnitude.
+per-position counts, Walsh-Hadamard transform (two small matrix products,
+H128 = H16 (x) H8, for all blocks), take the largest magnitude.
 
 The RS layer works on packed GF(2^8) vectors (below) and decodes on one
 fixed schedule whatever the received word: syndromes, the inversion-free
@@ -205,18 +205,20 @@ def _rm_rows() -> np.ndarray:
 _RM_ROWS = _rm_rows()
 
 
-def _sylvester() -> np.ndarray:
-    """128x128 float32 Walsh-Hadamard matrix: (-1)^popcount(u & j)."""
-    j = np.arange(128)
-    parity = j[:, None] & j[None, :]
+def _sylvester(size: int = 128) -> np.ndarray:
+    """size x size float32 Walsh-Hadamard matrix, size <= 256: (-1)^popcount(u & j)."""
+    j = np.arange(size, dtype=np.uint8)
+    parity = j[:, None] & j
     for shift in (4, 2, 1):
         parity ^= parity >> shift
-    return (1 - 2 * (parity & 1)).astype(np.float32)
+    return np.float32(1) - 2 * (parity & 1)
 
 
-# The soft values m - 2c of set-copy counts c, transformed: (m - 2c) @ H is
-# c @ (-2H) plus 128 m on column 0, as every other column of H sums to 0
-_SYLVESTER_NEG2 = -2 * _sylvester()
+# H128 = H16 (x) H8: popcount(u & j) splits over the index's high 4 and low 3
+# bits. The soft values m - 2c of set-copy counts c, transformed: (m - 2c) @
+# H128 is c @ (-2 H128) plus 128 m on column 0, as every other column sums to 0
+_H16_NEG2 = -2 * _sylvester(16)
+_H8 = _sylvester(8)
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +386,12 @@ def _peaks(t: np.ndarray) -> np.ndarray:
 def _decode_blocks(bits: np.ndarray) -> np.ndarray:
     """(B, multiplicity, 128) bits -> (B,) ML-decoded symbols. The transform
     of the soft values multiplicity - 2 * (set copies) is taken from the
-    counts, with the constant on column 0; it is exact in float32: every
-    entry is at most 128 * multiplicity."""
+    counts, with the constant on column 0, each block's counts as a 16 x 8
+    matrix C: -2 H16 @ C @ H8. It is exact in float32: every entry is at
+    most 128 * multiplicity."""
     counters.add("rm_blocks_decoded", len(bits))
-    t = _fold(bits) @ _SYLVESTER_NEG2
-    t[..., 0] += 128 * bits.shape[-2]
+    t = (_H16_NEG2 @ _fold(bits).reshape(-1, 16, 8) @ _H8).reshape(-1, 128)
+    t[:, 0] += 128 * bits.shape[-2]
     return _peaks(t)
 
 

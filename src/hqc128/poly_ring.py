@@ -143,7 +143,8 @@ def _rotations(d: DensePoly) -> np.ndarray:
     the bytes of (d | d << n) >> j. A row has ceil(2n/8) + 16 bytes, so the
     window at any byte b <= n/8 + 8 fits. Built once per operand from its
     bytes: d << n is d shifted by n mod 8 bits within bytes, placed at byte
-    n div 8, and row j, byte i is the 16-bit pair (byte i + 1, byte i) >> j."""
+    n div 8, and row j, byte i is the 16-bit pair (byte i + 1, byte i) >> j,
+    read in place through a '<u2' view that steps one byte."""
     if d._rot is None:
         n = d.n
         nbytes = (n + 7) >> 3
@@ -153,9 +154,11 @@ def _rotations(d: DensePoly) -> np.ndarray:
         q, r = n >> 3, n & 7
         doubled = np.zeros(cb + 1, dtype=np.uint8)
         doubled[:nbytes] = low
+        # bytes past nbytes - 1 are still zero, so the carries are written,
+        # not ORed; at n mod 8 = 0 a shift by 8 writes zeros
+        np.right_shift(low, 8 - r, out=doubled[q + 1:q + nbytes + 1])
         doubled[q:q + nbytes] |= low << r
-        doubled[q + 1:q + nbytes + 1] |= low >> (8 - r)
-        pairs = doubled[:-1] | doubled[1:].astype(np.uint16) << 8
+        pairs = np.ndarray((cb,), "<u2", buffer=doubled, strides=(1,))
         rows = np.right_shift(pairs, _SHIFTS, out=np.empty((8, cb), dtype=np.uint8),
                               casting="unsafe")
         d._rot = np.ndarray((8, cb - 8 * words + 1, words), dtype="<u8", buffer=rows,

@@ -308,6 +308,62 @@ def test_hadamard_matches_butterfly_oracle():
     assert np.array_equal(batch.astype(np.float32) @ _SYLVESTER, walsh_hadamard_butterfly(batch))
 
 
+def test_hadamard_factors_as_kronecker_product():
+    # codes applies H128 as H16 (x) H8: the high 4 bits of an index meet H16,
+    # the low 3 bits H8
+    assert np.array_equal(np.kron(_sylvester(16), _sylvester(8)), _SYLVESTER)
+    for size in (8, 16, 128):
+        h = _sylvester(size)
+        assert h.dtype == np.float32
+        assert np.array_equal(h @ h, size * np.eye(size))
+
+
+def bits_of_counts(counts: np.ndarray) -> np.ndarray:
+    """(B, 128) set-copy counts -> (B, multiplicity, 128) bits, the first
+    count copies of each position set."""
+    copies = np.arange(P.rm_multiplicity)[:, None]
+    return (copies < counts[:, None, :]).astype(np.uint8)
+
+
+def test_factored_decode_matches_the_full_transform():
+    # _decode_blocks takes -2 H16 @ C @ H8 of each 16 x 8 count block; all
+    # entries are integers, so its symbols are the peaks of the 128-point
+    # product of the soft values, ties included
+    rng = np.random.default_rng(221)
+    m = P.rm_multiplicity
+    random_counts = rng.integers(0, m + 1, size=(2000, 128))
+    equal = np.repeat(np.arange(m + 1), 128).reshape(m + 1, 128)
+    # soft values +-H[u1] +-H[u2] +-H[u3] (entries +-1, +-3 for m = 3): three
+    # columns tie at |t| = 128, with mixed signs
+    three = np.array([rng.choice(128, size=3, replace=False) for _ in range(300)])
+    signs = rng.choice([-1, 1], size=(300, 3))
+    soft = np.einsum("bk,bkj->bj", signs, _SYLVESTER[three].astype(np.int64))
+    three_peaks = (m - soft) // 2
+    # soft values s (H[u] + H[u']) + e, u' = u with two index bits swapped and
+    # e = +-1 unchanged by that swap: t[u] = t[u'] = 128 s + (e @ H)[u], which
+    # tops the other columns, (e @ H)[w]
+    j = np.arange(128)
+    two_peaks = []
+    for _ in range(600):
+        a, b = rng.choice(7, size=2, replace=False)
+        mirror = j ^ ((j >> a ^ j >> b) & 1) * (1 << a | 1 << b)
+        u = rng.choice(j[mirror != j])
+        e = rng.choice([-1, 1], size=128)[np.minimum(j, mirror)]
+        soft = rng.choice([-1, 1]) * (_SYLVESTER[u] + _SYLVESTER[mirror[u]]) + e
+        two_peaks.append((m - soft.astype(np.int64)) // 2)
+    counts = np.concatenate([random_counts, equal, three_peaks, two_peaks])
+    bits = bits_of_counts(counts)
+    assert np.array_equal(_fold(bits), counts)
+    t = (m - 2 * counts).astype(np.float32) @ _SYLVESTER
+    magnitude = np.abs(t)
+    tied = (magnitude == magnitude.max(axis=1, keepdims=True)).sum(axis=1) > 1
+    assert tied[-900:].all()
+    assert np.array_equal(_decode_blocks(bits), _peaks(t))
+    for start in range(0, len(bits), P.n1):
+        batch = slice(start, start + P.n1)
+        assert np.array_equal(_decode_blocks(bits[batch]), _peaks(t[batch]))
+
+
 def test_peak_search_zero_codeword():
     t = np.zeros(128, dtype=np.float32)
     t[0] = 384

@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from hqc128 import cli
+from hqc128 import codes
 from hqc128 import costmodel as cm
 from hqc128.counters import Counters
 
@@ -310,3 +313,11 @@ def test_import_builds_no_dataclasses():
                            capture_output=True, text=True, check=True).stdout.split()
             for module in ("hqc128", "hqc128.cli")]
     assert outs == [["False"], ["False"]]
+
+
+def test_codes_keeps_no_large_table_resident():
+    # the RM transform runs as two small products, with H16 and H8; the
+    # 128 x 128 matrix, 64 KiB in float32, is not kept after import
+    arrays = {name: value.nbytes for name, value in vars(codes).items()
+              if isinstance(value, np.ndarray)}
+    assert sum(arrays.values()) < 4096, arrays
