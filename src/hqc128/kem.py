@@ -36,6 +36,7 @@ from .sampling import (
     DOMAIN_SECRET_SAMPLING,
     DOMAIN_UNIFORM_H,
     Xof,
+    draw_bytes,
     hash_g,
     hash_h,
     hash_k,
@@ -48,10 +49,9 @@ SK_BYTES = P.seed_bytes + PK_BYTES
 CT_BYTES = 2 * P.n_bytes + 64
 
 
-# What the two fixed-weight draw sites digest at their first squeeze: two
-# chunks of 3 w bytes per draw, which a draw sequence seldom passes
-_SECRET_XOF_BYTES = 2 * 2 * 3 * P.w              # x, y: 792
-_NOISE_XOF_BYTES = 2 * 3 * (P.w_e + 2 * P.w_r)  # e, r1, r2: 1,350
+# What the two fixed-weight draw sites digest at their first squeeze
+_SECRET_XOF_BYTES = draw_bytes(P.w, P.w)            # x, y: 792
+_NOISE_XOF_BYTES = draw_bytes(P.w_e, P.w_r, P.w_r)  # e, r1, r2: 1,350
 
 
 class DecapsulationFailure(Exception):

@@ -93,55 +93,54 @@ class Xof:
 # Samplers
 
 
+def draw_bytes(*weights: int) -> int:
+    """Bytes of two chunks per `sample_fixed_weight` call of each weight: what
+    such calls on one `Xof` seldom read past, and so that `Xof`'s `bound`."""
+    return sum(2 * 3 * max(weight, 1) for weight in weights)
+
+
 def sample_fixed_weight(xof: Xof, weight: int, n: int) -> SparsePoly:
     """Distinct coordinates below n by unbiased rejection sampling.
 
-    Candidates are 24-bit little-endian values read from chunks of
-    3 * max(weight, 1) squeezed bytes; each chunk is widened to 32-bit words
-    and decoded at once by `struct.unpack`, whose format cache compiles each
-    chunk size's decoder once. Values at or above the largest multiple of n
-    below 2^24 are rejected (removing the modulo bias), then duplicates are
-    rejected until `weight` distinct coordinates are found; the rest of the
-    last chunk is discarded. A chunk begun with nothing picked holds `weight`
-    draws, so it can complete the weight only at its last draw: it is taken
-    whole, in one set build. A later chunk is walked draw by draw and stops
-    where the weight is reached. The draw cap holds per draw on both paths:
-    a chunk taken whole raises if its draws pass the cap, as a walk would,
-    since it could not have completed the weight before the cap. The
-    data-dependent quantity of this technique is the number of chunks and
-    of draws walked one at a time, and with them the draw count; the XOF's
-    digest work does not follow it while the chunks stay within the bound
-    the use-site's `Xof` digests at its first squeeze. The support is
-    returned as a sorted intp array. Raises ValueError before any squeeze
+    Candidates are 24-bit little-endian values. Values at or above the largest
+    multiple of n below 2^24 are rejected (removing the modulo bias), then
+    duplicates are rejected until `weight` distinct coordinates are found.
+    Each pass squeezes a piece of exactly as many candidates as coordinates
+    are still missing, so a piece can complete the weight only at its last
+    draw and is taken whole, in one set build; the draw cap, checked once per
+    piece, therefore holds per draw. A piece is widened to 32-bit words and
+    decoded at once by `struct.unpack`, whose format cache compiles each piece
+    size's decoder once: w candidates first, then remainders of mostly 1 to 3.
+    The stream is read in chunks of 3 * max(weight, 1) bytes: the rest of the
+    last chunk is squeezed and discarded, so the XOF stops where a draw-by-draw
+    reader of whole chunks would. The data-dependent quantity of this
+    technique is the number of pieces, and with it the draw count; the XOF's
+    digest work does not follow it while the draws stay within the bound the
+    use-site's `Xof` digests at its first squeeze (`draw_bytes`). The support
+    is returned as a sorted intp array. Raises ValueError before any squeeze
     unless 1 <= n <= 2^24 and 0 <= weight <= n.
     """
     if not (1 <= n <= 1 << 24 and 0 <= weight <= n):
         raise ValueError("need 1 <= n <= 2^24 and 0 <= weight <= n")
     threshold = ((1 << 24) // n) * n
-    count = max(weight, 1)
-    wide = bytearray(4 * count)
     picked: set[int] = set()
     draws = 0
     while len(picked) < weight:
+        count = weight - len(picked)
+        draws += count
+        if draws > MAX_SAMPLE_DRAWS:
+            raise SamplingError("rejection sampling exceeded the draw cap")
         raw = xof.squeeze(3 * count)
+        wide = bytearray(4 * count)
         wide[0::4] = raw[0::3]
         wide[1::4] = raw[1::3]
         wide[2::4] = raw[2::3]
-        values = struct.unpack(f"<{count}I", wide)
-        if not picked:
-            draws += count
-            if draws > MAX_SAMPLE_DRAWS:
-                raise SamplingError("rejection sampling exceeded the draw cap")
-            picked = {value % n for value in values if value < threshold}
-            continue
-        for value in values:
-            draws += 1
-            if draws > MAX_SAMPLE_DRAWS:
-                raise SamplingError("rejection sampling exceeded the draw cap")
+        for value in struct.unpack(f"<{count}I", wide):
             if value < threshold:
                 picked.add(value % n)
-                if len(picked) == weight:
-                    break
+    rest = -draws % max(weight, 1)
+    if rest:
+        xof.squeeze(3 * rest)
     counters.add("samples_drawn", draws)
     support = np.fromiter(picked, np.intp, weight)
     support.sort()

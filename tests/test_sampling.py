@@ -263,11 +263,11 @@ def test_fixed_weight_rejection_threshold_is_unbiased():
 
 
 def test_fixed_weight_matches_per_draw_oracle():
-    # the chunk decoder against the per-draw loop on twin streams: the same
+    # the piece decoder against the per-draw loop on twin streams: the same
     # support and draw count, the same counts, and the same bytes squeezed
     # next, so the cursor stops where the per-draw loop stops. The cases
-    # include first chunks that complete the weight and first chunks that do
-    # not, through a duplicate (n = 97) or a rejection (n = 2^23 + 1)
+    # include draws that need one piece of w candidates and draws that need
+    # more, after a duplicate (n = 97) or a rejection (n = 2^23 + 1)
     rng = random.Random(110)
     paths = set()
     cases = [(rng.randbytes(40), (w, w, w), 17669) for _ in range(300) for w in (66, 75)]
@@ -311,18 +311,39 @@ def test_fixed_weight_rejects_bad_arguments(weight, n):
     assert xof.squeeze(16) == Xof(b"x" * 40, 1).squeeze(16)
 
 
+class RejectingXof:
+    """Squeezes only 0xFF bytes: every candidate is rejected for an n that is
+    not a power of two. Fails the test once the squeezes pass `limit`."""
+
+    def __init__(self, limit: int):
+        self.limit, self.squeezes = limit, 0
+
+    def squeeze(self, size: int) -> bytes:
+        self.squeezes += 1
+        assert self.squeezes <= self.limit, "the draw cap did not stop the loop"
+        return b"\xff" * size
+
+
 def test_fixed_weight_draw_cap(monkeypatch):
     # 10 distinct coordinates below 10 need at least 10 draws
     monkeypatch.setattr(sampling, "MAX_SAMPLE_DRAWS", 5)
     with pytest.raises(SamplingError):
         sample_fixed_weight(Xof(b"x" * 40, 3), 10, 10)
     # a support that completes at the cap's last draw passes: at a cap of 5
-    # a weight-5 first chunk that completes the weight passes, and at 4 the
+    # a weight-5 first piece that completes the weight passes, and at 4 the
     # cap stops it
     assert len(sample_fixed_weight(Xof(b"x" * 40, 3), 5, 17669).support) == 5
     monkeypatch.setattr(sampling, "MAX_SAMPLE_DRAWS", 4)
     with pytest.raises(SamplingError):
         sample_fixed_weight(Xof(b"x" * 40, 3), 5, 17669)
+    # a stream of rejects never reaches the weight, so the cap must stop the
+    # loop as the draws pass it: at a cap of 100, twenty weight-5 pieces are
+    # squeezed and the 21st raises before its squeeze
+    monkeypatch.setattr(sampling, "MAX_SAMPLE_DRAWS", 100)
+    xof = RejectingXof(1000)
+    with pytest.raises(SamplingError):
+        sample_fixed_weight(xof, 5, 17669)
+    assert xof.squeezes == 20
 
 
 CAP_SEEDS = range(6)
@@ -330,11 +351,11 @@ CAP_SEEDS = range(6)
 
 @pytest.mark.parametrize("seed", CAP_SEEDS)
 def test_fixed_weight_draw_cap_is_per_draw(monkeypatch, seed):
-    # the cap is checked on each draw, as in the oracle: with the cap one
-    # below the draws a support needs, both raise, and at exactly that many
-    # both return it, also when the cap is not a multiple of the chunk size.
-    # The seeds include a support finished in its first chunk, which is taken
-    # whole, and supports that need more, whose later chunks are walked
+    # the cap holds per draw, as in the oracle: with the cap one below the
+    # draws a support needs, both raise, and at exactly that many both return
+    # it, also when the cap is not a multiple of the chunk size. The seeds
+    # include a support finished in its first piece of w candidates and
+    # supports that need more pieces, sized to the coordinates still missing
     weight, n = 5, 7
     key = bytes([seed]) * 40
     support, needed = sample_fixed_weight_per_draw(Xof(key, 3), weight, n)
