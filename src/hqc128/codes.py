@@ -139,9 +139,11 @@ _MSG = _Lanes(struct.Struct(f"<{P.k}Q"))
 def _rs_tables() -> tuple[list[int], list[int], list[int]]:
     """The syndrome, parity and Chien/Forney rows, packed without guards."""
     k, delta, t = P.k, P.delta, 2 * P.delta
+    run = bytes(_EXP) * 32      # run[x] = alpha^x for x < 32 * 255 = 8,160
 
     def powers(e: int, count: int) -> bytes:    # alpha^(e i) for i in [0, count)
-        return bytes(_EXP[e * i % 255] for i in range(count))
+        s = e % 255             # one strided slice: s * count < 8,160 for count <= 32
+        return run[:s * count:s] if s else b"\1" * count
 
     # syndrome rows: lane i of row j is alpha^((i+1) j), lanes 2 delta.. zero
     syn_rows = [_WORD.pack(powers(j, t + 1)[1:].ljust(_WORD.n, b"\0")) & _WORD.low
@@ -189,7 +191,7 @@ _DECODE_MULS = (P.n1 * 2 * P.delta + 4 * P.delta * (3 * P.delta + 1)
 
 # Field inverses alpha^i -> alpha^-i, 0 -> 0, and the bytes a lane is compared to
 _INV = np.zeros(256, dtype=np.float32)
-_INV[[gf_pow_alpha(i) for i in range(255)]] = [gf_pow_alpha(-i) for i in range(255)]
+_INV[_EXP] = _EXP[:1] + _EXP[:0:-1]     # alpha^-i = alpha^(255 - i)
 _BYTES = np.arange(256, dtype=np.uint8)
 
 

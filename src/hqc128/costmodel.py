@@ -22,8 +22,6 @@ sheet, and improvement columns are reported against both baselines
 (reference, and the DMA + SW_OPT row).
 """
 
-from __future__ import annotations
-
 import functools
 import time
 from typing import NamedTuple

@@ -168,9 +168,20 @@ def serialize_pk(pk: PublicKey) -> bytes:
     return out
 
 
+def _wire(data: bytes, size: int, what: str) -> bytes:
+    """A bytes-like wire object as bytes, taken once: the record holds no view
+    into, nor a bytearray shared with, the caller's buffer. A bytes object is
+    returned as is. The length is read first, as bytes(n) of an int n would
+    be n zero bytes."""
+    if len(data) == size:
+        data = bytes(data)
+    if len(data) != size:
+        raise FormatError(f"{what} must be {size} bytes")
+    return data
+
+
 def deserialize_pk(data: bytes) -> PublicKey:
-    if len(data) != PK_BYTES:
-        raise FormatError(f"public key must be {PK_BYTES} bytes")
+    data = _wire(data, PK_BYTES, "public key")
     counters.add("bytes_copied", len(data))
     seed_h = data[:P.seed_bytes]
     s = DensePoly.from_bytes(P.n, data[P.seed_bytes:])
@@ -183,8 +194,7 @@ def serialize_sk(sk: SecretKey) -> bytes:
 
 
 def deserialize_sk(data: bytes) -> SecretKey:
-    if len(data) != SK_BYTES:
-        raise FormatError(f"secret key must be {SK_BYTES} bytes")
+    data = _wire(data, SK_BYTES, "secret key")
     seed_sk = data[:P.seed_bytes]
     pk = deserialize_pk(data[P.seed_bytes:])
     counters.add("bytes_copied", len(seed_sk))
@@ -199,8 +209,7 @@ def serialize_ct(ct: Ciphertext) -> bytes:
 
 
 def deserialize_ct(data: bytes) -> Ciphertext:
-    if len(data) != CT_BYTES:
-        raise FormatError(f"ciphertext must be {CT_BYTES} bytes")
+    data = _wire(data, CT_BYTES, "ciphertext")
     counters.add("bytes_copied", len(data))
     nb = P.n_bytes
     u = DensePoly.from_bytes(P.n, data[:nb])

@@ -5,8 +5,6 @@ sizes from it (``from .params import P``): a corrected constant touches one
 place. :func:`check` is the one test that a record handed in is ``P``.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from hqc128 import counters
+from hqc128 import codes, counters
 from hqc128.codes import (
     _decode_blocks,
     _fold,
@@ -22,7 +22,7 @@ from hqc128.params import P
 from hqc128.poly_ring import DensePoly
 from tests.codes_ref import code_encode_ref, rm_blocks_float
 from tests.ring_ref import as_int, dense
-from tests.gf_ref import EXP, gf_mul_table
+from tests.gf_ref import EXP, LOG, gf_mul_table
 from tests.rs_ref import rs_encode_ref
 
 
@@ -117,6 +117,44 @@ def test_rs_encode_matches_textbook_division():
     units = [bytes(m) + b"\x01" + bytes(P.k - 1 - m) for m in range(P.k)]
     for msg in units + [rng.randbytes(P.k) for _ in range(400)]:
         assert rs_encode(msg, P) == rs_encode_ref(msg)
+
+
+def packed_lanes(lanes: list[int]) -> int:
+    """Field element l into 64-bit lane l, its bit i at bit 4i, no guard."""
+    return sum(((v >> i) & 1) << (64 * l + 4 * i) for l, v in enumerate(lanes) for i in range(8))
+
+
+def test_rs_tables_match_lane_by_lane_oracles():
+    # the packed import-time tables, rebuilt one lane at a time from the
+    # log/antilog tables of gf_ref and the long-division encoder of rs_ref
+    k, delta, t = P.k, P.delta, 2 * P.delta
+
+    def alpha(e):
+        return EXP[e % 255]
+
+    # syndrome row j: lane i is alpha^((i+1) j) for i < 2 delta, zero above
+    syn = [[alpha((i + 1) * j) for i in range(t)] + [0] * (codes._WORD.n - t)
+           for j in range(P.n1)]
+    assert codes._SYN_ROWS == [packed_lanes(row) for row in syn]
+    # parity row m: the parity symbols of the unit message at position m
+    units = [bytes(m) + b"\x01" + bytes(k - 1 - m) for m in range(k)]
+    parity = [list(rs_encode_ref(msg)[k:]) + [0] * (codes._WORD.n - t) for msg in units]
+    assert codes._PARITY_ROWS == [packed_lanes(row) for row in parity]
+    # Chien/Forney row i, e = i - delta: the locator term Lambda_e X^e at
+    # X_j^-1 = alpha^-j, its derivative (odd e), or for e < 0 the evaluator
+    # term Omega_i X^i times X_j^(-2 delta), each over the k message positions
+    chien = []
+    for i in range(t + 1):
+        e = i - delta
+        locator = [alpha(-e * j) if e >= 0 else 0 for j in range(k)]
+        slope = [alpha((1 - e) * j) if e >= 0 and e % 2 else 0 for j in range(k)]
+        value = [alpha(-(i + t) * j) if e < 0 else 0 for j in range(k)]
+        chien.append(locator + slope + value)
+    assert codes._CHIEN_ROWS == [packed_lanes(row) for row in chien]
+    # inverses: alpha^i -> alpha^(255 - i), 0 -> 0, held as float32
+    inverse = [0] + [EXP[-LOG[a] % 255] for a in range(1, 256)]
+    assert all(gf_mul_table(a, inverse[a]) == 1 for a in range(1, 256))
+    assert codes._INV.dtype == np.float32 and codes._INV.tolist() == inverse
 
 
 def test_rs_encode_rejects_bad_length():

@@ -215,6 +215,11 @@ def test_deserialize_rejects_wrong_length():
         kem.deserialize_sk(b"\x00" * 2290)
     with pytest.raises(kem.FormatError):
         kem.deserialize_ct(b"\x00" * 100)
+    # an int is no wire object, though bytes(size) would be size zero bytes
+    for parse, size in ((kem.deserialize_pk, kem.PK_BYTES), (kem.deserialize_sk, kem.SK_BYTES),
+                        (kem.deserialize_ct, kem.CT_BYTES)):
+        with pytest.raises(TypeError):
+            parse(size)
 
 
 def test_deserialize_rejects_corrupt_padding():
@@ -245,6 +250,35 @@ def test_deserialized_keys_operate():
     sk2 = kem.deserialize_sk(kem.serialize_sk(sk))
     ct, ss = kem.encaps(pk2, RNG.randbytes(P.seed_bytes))
     assert kem.decaps(sk2, ct) == ss
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_parsers_take_bytes_like_input_once(kind):
+    # each parser copies its input once, into bytes: the records hold bytes
+    # fields, re-serialize to bytes, and keep nothing that aliases the
+    # caller's buffer, so a later write to it leaves a parsed ciphertext as
+    # it was parsed
+    pk, sk = make_keypair(bytes(40))
+    ct, ss = kem.encaps(pk, bytes(range(40)))
+    wires = [kem.serialize_pk(pk), kem.serialize_sk(sk), kem.serialize_ct(ct)]
+
+    def source(wire):
+        return memoryview(bytearray(wire)) if kind is memoryview else kind(wire)
+
+    pk2 = kem.deserialize_pk(source(wires[0]))
+    sk2 = kem.deserialize_sk(source(wires[1]))
+    buf = bytearray(wires[2])
+    ct2 = kem.deserialize_ct(memoryview(buf) if kind is memoryview else kind(buf))
+    fields = [pk2.seed_h, pk2.s.data, pk2.h.data, sk2.seed_sk, sk2.pk.seed_h, sk2.pk.s.data,
+              ct2.u.data, ct2.v.data, ct2.d]
+    assert [type(f) for f in fields] == [bytes] * len(fields)
+    outs = [kem.serialize_pk(pk2), kem.serialize_sk(sk2), kem.serialize_ct(ct2)]
+    assert [type(out) for out in outs] == [bytes] * 3
+    assert outs == wires
+    buf[-1] ^= 1
+    buf[0] ^= 1
+    assert kem.serialize_ct(ct2) == wires[2]
+    assert kem.decaps(sk2, ct2) == ss
 
 
 def test_malformed_ciphertexts_raise_only_format_or_decapsulation_errors():

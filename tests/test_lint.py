@@ -321,3 +321,42 @@ def test_codes_keeps_no_large_table_resident():
     arrays = {name: value.nbytes for name, value in vars(codes).items()
               if isinstance(value, np.ndarray)}
     assert sum(arrays.values()) < 4096, arrays
+
+
+def test_namedtuple_modules_keep_annotations_evaluated():
+    # typing.NamedTuple type-checks every field annotation; postponed by
+    # `from __future__ import annotations`, each one is a string it compiles
+    # into a ForwardRef at class creation, on every import
+    bad = []
+    for path in [*sorted(SRC.glob("*.py")), *sorted(SCRIPTS.glob("*.py"))]:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        tuples = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                  and any(ast.unparse(b) in ("NamedTuple", "typing.NamedTuple")
+                          for b in node.bases)]
+        postponed = any(isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                        and any(a.name == "annotations" for a in node.names)
+                        for node in tree.body)
+        if tuples and postponed:
+            bad.append(f"{path.name}: {', '.join(tuples)}")
+    assert bad == []
+
+
+def test_import_runs_few_python_calls():
+    # the import-time tables are built by C-level sequence operations, not
+    # element by element: each row of powers of alpha is one strided slice of
+    # a repeated antilog run, the inverse table one fancy-index assignment. In
+    # a fresh interpreter, after numpy, `import hqc128` makes 289 Python-level
+    # calls into src/ (2,936 when every power was a generator step and every
+    # inverse a gf_pow_alpha call)
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy\n"
+             "calls = 0\n"
+             "def count(frame, event, arg):\n"
+             "    global calls\n"
+             "    calls += event == 'call' and frame.f_code.co_filename.startswith(sys.argv[2])\n"
+             "sys.setprofile(count)\n"
+             "import hqc128\n"
+             "sys.setprofile(None)\n"
+             "print(calls)")
+    out = subprocess.run([sys.executable, "-I", "-c", probe, str(SRC.parent), str(SRC)],
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out) <= 400
