@@ -6,7 +6,8 @@ KeyGen expands one seed into (seed_h, seed_sk); h is a uniform ring element,
 (e, r1, r2) from theta, sends u = r1 + h*r2 and v = mG + s*r2 + e.
 Decapsulation decrypts, re-derives theta' = G(m'), re-encrypts, and only
 releases K(m', c) when the recomputed u' || v' || d' matches the received
-ciphertext; one hmac.compare_digest call compares all of it.
+ciphertext; one `poly_ring.ct_equal` call (OpenSSL's constant-time
+CRYPTO_memcmp, through `_hashlib.compare_digest`) compares all of it.
 
 Wire formats (normative, byte-exact):
     pk = seed_h (40) || s (2209)                 -> PK_BYTES = 2249

@@ -21,7 +21,7 @@ from bytes count nothing; the KEM counts each wire object once.
 
 from __future__ import annotations
 
-import hmac
+from _hashlib import compare_digest
 
 import numpy as np
 
@@ -197,8 +197,10 @@ def xor_into(acc: np.ndarray, d: DensePoly) -> np.ndarray:
 
 
 def ct_equal(a: bytes, b: bytes) -> bool:
-    """Equality by hmac.compare_digest, which does not stop at the first
-    differing byte; operands must have the same length."""
+    """Equality by OpenSSL's CRYPTO_memcmp, which does not stop at the first
+    differing byte; operands must have the same length. `compare_digest` is
+    bound from `_hashlib`, which hashlib has already loaded: it is the object
+    `hmac.compare_digest` names, without importing hmac."""
     if len(a) != len(b):
         raise ValueError("length mismatch")
-    return hmac.compare_digest(a, b)
+    return compare_digest(a, b)

@@ -11,6 +11,7 @@ import pytest
 from hqc128 import codes, costmodel, kem, params
 from hqc128.counters import Counters
 from hqc128.params import P, hqc128
+from tests.params_ref import altered
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -80,7 +81,7 @@ def test_profile_accepts_only_the_kem_parameter_set():
         assert ([getattr(passed, name) for name in Counters.__slots__]
                 == [getattr(default, name) for name in Counters.__slots__])
     with pytest.raises(ValueError):
-        costmodel.profile("keygen", bytes(40), hqc128()._replace(w=65))
+        costmodel.profile("keygen", bytes(40), altered(w=65))
 
 
 # The four code functions perfbench/ calls as f(x, P), with their outputs
@@ -105,4 +106,4 @@ def test_code_functions_accept_only_the_kem_parameter_set(fn, arg, expected):
     assert kem.P is codes.P is params.P
     assert bytes(fn(arg, hqc128())).hex() == expected
     with pytest.raises(ValueError):
-        fn(arg, hqc128()._replace(w=65))
+        fn(arg, altered(w=65))

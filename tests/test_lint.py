@@ -360,3 +360,31 @@ def test_import_runs_few_python_calls():
     out = subprocess.run([sys.executable, "-I", "-c", probe, str(SRC.parent), str(SRC)],
                          capture_output=True, text=True, check=True).stdout
     assert int(out) <= 400
+
+
+def test_import_loads_only_the_package_and_its_hash_layer():
+    # in a fresh interpreter, after numpy, `import hqc128` adds its own modules
+    # and the hash layer only: hashlib with _hashlib and _blake2 (ct_equal
+    # binds OpenSSL's compare_digest from _hashlib, so no hmac), and
+    # __future__ for postponed annotations. No module it loads defines a
+    # typing.NamedTuple or a collections.namedtuple record, whose generated
+    # __new__ is compiled by eval on every import; costmodel and cli, which
+    # `import hqc128` does not load, keep theirs
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy\n"
+             "before = set(sys.modules)\n"
+             "import hqc128\n"
+             "print(*sorted(set(sys.modules) - before))")
+    added = subprocess.run([sys.executable, "-I", "-c", probe, str(SRC.parent)],
+                           capture_output=True, text=True, check=True).stdout.split()
+    package = [m for m in added if m == "hqc128" or m.startswith("hqc128.")]
+    assert sorted(set(added) - set(package)) == ["__future__", "_blake2", "_hashlib", "hashlib"]
+    factories = {"NamedTuple", "typing.NamedTuple", "namedtuple", "collections.namedtuple"}
+    bad = []
+    for module in package:
+        path = SRC / ("__init__.py" if module == "hqc128" else module[len("hqc128."):] + ".py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            made = ([ast.unparse(b) for b in node.bases] if isinstance(node, ast.ClassDef)
+                    else [ast.unparse(node.func)] if isinstance(node, ast.Call) else [])
+            if factories.intersection(made):
+                bad.append(f"{path.name}:{node.lineno}")
+    assert bad == []
